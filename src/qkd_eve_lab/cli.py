@@ -43,6 +43,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _header_lines(settings: Settings) -> list[str]:
+    """The ``#`` metadata header: the full effective configuration."""
+    return [f"# {key} = {val}" for key, val in settings.as_pairs().items()]
+
+
+def _write_lines(out: Path | None, lines: list[str]) -> None:
+    text = "\n".join(lines) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text, encoding="utf-8")
+
+
 def _write_csv(
     out: Path | None,
     settings: Settings,
@@ -50,17 +63,13 @@ def _write_csv(
     rows: list[tuple],
     extra_header: dict[str, str] | None = None,
 ) -> None:
-    lines = [f"# {key} = {val}" for key, val in settings.as_pairs().items()]
+    lines = _header_lines(settings)
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key} = {val}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+    _write_lines(out, lines)
 
 
 def _sweep(settings: Settings) -> tuple[float, float, float]:
@@ -240,13 +249,7 @@ def _cmd_montecarlo(settings: Settings, out: Path | None) -> int:
         workers=settings.workers,
     )
     result = simulate(sim_cfg)
-    lines = [f"# {key} = {val}" for key, val in settings.as_pairs().items()]
-    lines += result.csv_lines()
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+    _write_lines(out, _header_lines(settings) + result.csv_lines())
     print(result.summary())
     return EXIT_OK
 
@@ -262,7 +265,7 @@ def _cmd_verify(settings: Settings, out: Path | None) -> int:
     for line in report.lines():
         print(line)
     if out is not None:
-        out.write_text("\n".join(report.csv_lines()) + "\n", encoding="utf-8")
+        _write_lines(out, _header_lines(settings) + report.csv_lines())
     return EXIT_OK if report.family_pass else EXIT_VERIFY
 
 

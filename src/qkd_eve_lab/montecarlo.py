@@ -5,17 +5,28 @@ package: photons are drawn per pulse, split, blocked, lost, and detected,
 and the tallies are compared against the analytic expectations with
 binomial z-scores and exact binomial p-values.
 
-Determinism contract: every random decision is one uniform draw from a
-counter-based stream indexed by (seed, decision column, pulse index), so a
-run is bit-for-bit reproducible regardless of batch size or worker count.
-Philox counters move in blocks of four 64-bit words, hence batch
-boundaries are kept at multiples of four pulses.
+Determinism contract: every random decision comes from a counter-based
+Philox stream keyed by the seed, and the streams are laid out over fixed
+blocks of ``BLOCK`` pulses, so a run is bit-for-bit reproducible regardless
+of batch size or worker count.
+
+* The photon number of each pulse is one uniform from the per-pulse
+  ``_COL_N`` stream, indexed by pulse.
+* Only pulses that can click are sampled further: those carrying at least
+  one photon and those where a detector fires a dark count, or every pulse
+  when strategy A resends vacuum pulses as blind states.  Each other
+  decision column draws one uniform per such active pulse, in pulse order,
+  from its own stream keyed by (seed, column, block).
+* The dark counts of each detector are an i.i.d. Bernoulli(p_dark) process
+  over the block, placed exactly from their own block stream.
+* ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
+  of whole blocks; only the last block of a run may be partial.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +38,12 @@ from .strategy_b import BeamsplitAttack
 
 PHOTON_CAP = 20
 
+# Pulses per block of the random streams.  Tallies at a given seed depend on
+# it, so it is fixed rather than configurable.
+BLOCK = 2**16
+
 # Decision columns; each owns an independent counter-based stream.
 _COL_N = 0
-_COL_ALICE_BASIS = 1
 _COL_ALICE_BIT = 2
 _COL_EVE_SPLIT = 3
 _COL_EVE_AUX = 4
@@ -46,11 +60,49 @@ _COL_EVE_INTERCEPT = 14
 
 
 def _column_uniforms(seed: int, column: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for one decision column over pulses [start, start + count)."""
+    """Uniforms of a per-pulse stream over pulses [start, start + count).
+
+    Philox counters move in blocks of four 64-bit words, so ``start`` must be
+    a multiple of four.  The counter runs in its first word from ``start // 4``
+    and leaves the last word at 0.
+    """
     if start % 4:
         raise ValueError("column streams must start on a 4-pulse boundary")
     bitgen = np.random.Philox(key=seed, counter=[start // 4, 0, column, 0])
     return np.random.Generator(bitgen).random(count)
+
+
+def _block_stream(seed: int, column: int, block: int) -> np.random.Generator:
+    """Stream of one decision column within one block of pulses.
+
+    Its last counter word is 1, so it never meets a per-pulse stream.
+    """
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, block, column, 1]))
+
+
+def _dark_positions(seed: int, column: int, block: int, length: int, p: float) -> np.ndarray:
+    """Sorted pulse indices in [0, length) of ``block`` where a detector
+    fires a dark count, each pulse independently with probability ``p``.
+
+    The gaps between dark counts are geometric and drawn exactly by
+    inversion from the block stream of ``column``, in batches sized to the
+    expected remaining count, until one passes the end of the block.
+    """
+    if not p > 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(length)
+    rng = _block_stream(seed, column, block)
+    log_q = math.log1p(-p)
+    parts = []
+    last = -1.0  # index of the latest dark count drawn so far
+    while last < length:
+        size = math.ceil((length - 1 - last) * p) + 1
+        gaps = np.floor(np.log1p(-rng.random(size)) / log_q) + 1.0
+        parts.append(last + np.cumsum(gaps))
+        last = parts[-1][-1]
+    positions = np.concatenate(parts)
+    return positions[positions < length].astype(np.int64)
 
 
 def _binomial_cdf_table(p: float) -> np.ndarray:
@@ -68,20 +120,27 @@ def _binomial_cdf_table(p: float) -> np.ndarray:
 def _binomial_from_u(
     n: np.ndarray, u: np.ndarray, cdf_table: np.ndarray
 ) -> np.ndarray:
-    """Inverse-CDF binomial: one uniform per draw, vectorized over n groups."""
+    """Inverse-CDF binomial: one uniform per draw, vectorized over the
+    non-zero photon numbers present; n = 0 draws 0."""
     out = np.zeros(n.shape, dtype=np.int64)
-    for nv in np.unique(n):
-        if nv == 0:
-            continue
-        mask = n == nv
-        k = np.searchsorted(cdf_table[nv], u[mask], side="right")
-        out[mask] = np.minimum(k, nv)
+    where = np.flatnonzero(n)
+    n_nz = n[where]
+    u_nz = u[where]
+    for nv in np.flatnonzero(np.bincount(n_nz)):
+        mask = n_nz == nv
+        k = np.searchsorted(cdf_table[nv], u_nz[mask], side="right")
+        out[where[mask]] = np.minimum(k, nv)
     return out
 
 
 @dataclass
 class SimConfig:
-    """One simulation run: system, eavesdropper, size, and seeding."""
+    """One simulation run: system, eavesdropper, size, and seeding.
+
+    ``batch_size`` and ``workers`` cannot change the tallies: work is handed
+    out in runs of whole ``BLOCK``-pulse blocks, ``batch_size`` rounded up to
+    a multiple of ``BLOCK``.
+    """
 
     system: SystemConfig
     eve_model: EveModel = EveModel.NONE
@@ -106,8 +165,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.n_pulses < 1:
             raise ConfigError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        if self.batch_size < 4:
-            raise ConfigError(f"batch_size must be >= 4, got {self.batch_size}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.system.basis_mode is not BasisMode.ACTIVE:
@@ -232,47 +291,81 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
     return _StrategyAPolicy(tuple(probs), blind_prob, cfg.attack_fraction)
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """Inverse-CDF tables of one configuration."""
+
+    photons: np.ndarray  # Poisson(mu) CDF over n = 0..PHOTON_CAP
+    half: np.ndarray  # Binomial(n, 1/2)
+    channel: np.ndarray  # Binomial(n, t): t_ab, or Eve's link t_e under strategy B
+    tap: np.ndarray | None  # Binomial(n, lambda), strategy B only
+    detect: np.ndarray  # Binomial(n, eta_b)
+
+    @classmethod
+    def build(cls, cfg: SimConfig) -> "_Tables":
+        system = cfg.system
+        beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
+        return cls(
+            # The tail above the photon cap is < 1e-19 for mu <= 1.
+            photons=np.cumsum(poisson_pmf_array(system.source.mu, PHOTON_CAP)),
+            half=_binomial_cdf_table(0.5),
+            channel=_binomial_cdf_table(
+                cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance)
+            ),
+            tap=_binomial_cdf_table(cfg.attack.lam) if beamsplit else None,
+            detect=_binomial_cdf_table(system.detector.eta_b),
+        )
+
+
 def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
-    # Keep starts on 4-pulse boundaries for the Philox block counter.
-    batch = max(4, batch_size - batch_size % 4)
+    """Runs of whole blocks, ``batch_size`` rounded up to a multiple of BLOCK."""
+    batch = -(-batch_size // BLOCK) * BLOCK
     return [(s, min(s + batch, n_pulses)) for s in range(0, n_pulses, batch)]
 
 
-def _simulate_chunk(args: tuple) -> SimResult:
-    cfg, policy, start, stop = args
-    count = stop - start
+def _simulate_block(
+    cfg: SimConfig, policy: _StrategyAPolicy | None, tables: _Tables, block: int
+) -> SimResult:
+    start = block * BLOCK
+    count = min(BLOCK, cfg.n_pulses - start)
     system: SystemConfig = cfg.system
-    mu = system.source.mu
-    eta = system.detector.eta_b
-    p_dark = system.detector.p_dark
-    qber_opt = system.qber_opt
     seed = cfg.seed
 
+    u_n = _column_uniforms(seed, _COL_N, start, count)
+    dark_at = [
+        _dark_positions(seed, column, block, count, system.detector.p_dark)
+        for column in (_COL_DARK_0, _COL_DARK_1)
+    ]
+    if policy is not None and policy.blind_prob > 0:
+        # Vacuum pulses are resent as blind states, so any pulse may click.
+        active = np.arange(count)
+    else:
+        can_click = u_n >= tables.photons[0]  # n >= 1
+        for at in dark_at:
+            can_click[at] = True
+        active = np.flatnonzero(can_click)
+    m = active.size
+
     def uniforms(column: int) -> np.ndarray:
-        return _column_uniforms(seed, column, start, count)
+        return _block_stream(seed, column, block).random(m)
 
-    # Photon number per pulse, capped; the tail above the cap is < 1e-19
-    # for mu <= 1.
-    pmf = poisson_pmf_array(mu, PHOTON_CAP)
-    cdf = np.cumsum(pmf)
     n = np.minimum(
-        np.searchsorted(cdf, uniforms(_COL_N), side="right"), PHOTON_CAP
+        np.searchsorted(tables.photons, u_n[active], side="right"), PHOTON_CAP
     ).astype(np.int64)
+    dark0, dark1 = np.zeros((2, m), dtype=bool)
+    dark0[np.searchsorted(active, dark_at[0])] = True
+    dark1[np.searchsorted(active, dark_at[1])] = True
 
-    alice_basis = uniforms(_COL_ALICE_BASIS) < 0.5
-    alice_bit = uniforms(_COL_ALICE_BIT) < 0.5
-
-    eve_knows = np.zeros(count, dtype=bool)
+    eve_knows = np.zeros(m, dtype=bool)
     # Per-pulse probability that the sifted bit (if any) disagrees with
     # Alice before the optical-misalignment flip; realized by one uniform.
-    resend_error = np.zeros(count, dtype=bool)
+    resend_error = np.zeros(m, dtype=bool)
 
     if cfg.eve_model is EveModel.STRATEGY_A:
         p = policy
-        half_cdf = _binomial_cdf_table(0.5)
-        k_right = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), half_cdf)
+        k_right = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.half)
         n_wrong = n - k_right
-        k_w0 = _binomial_from_u(n_wrong, uniforms(_COL_EVE_AUX), half_cdf)
+        k_w0 = _binomial_from_u(n_wrong, uniforms(_COL_EVE_AUX), tables.half)
 
         case_a = n == 1
         both_bases = (k_right >= 1) & (n_wrong >= 1) & (n >= 2)
@@ -284,7 +377,7 @@ def _simulate_chunk(args: tuple) -> SimResult:
             (k_w0 >= 1) & (k_w0 < n_wrong)
         )
 
-        resend_p = np.zeros(count)
+        resend_p = np.zeros(m)
         resend_p[case_a] = p.resend_prob[0]
         resend_p[both_bases] = p.resend_prob[1]
         resend_p[all_right | wrong_same] = p.resend_prob[2]
@@ -294,10 +387,10 @@ def _simulate_chunk(args: tuple) -> SimResult:
         if p.attack_fraction < 1.0:
             intercepted = uniforms(_COL_EVE_INTERCEPT) < p.attack_fraction
         else:
-            intercepted = np.ones(count, dtype=bool)
+            intercepted = np.ones(m, dtype=bool)
         resend = intercepted & (uniforms(_COL_EVE_USE) < resend_p)
 
-        err_p = np.zeros(count)
+        err_p = np.zeros(m)
         err_p[both_bases] = strategy_a.INTERMEDIATE_STATE_QBER
         err_p[case_a & (k_right == 0)] = 0.5
         err_p[wrong_same] = 0.5
@@ -308,46 +401,33 @@ def _simulate_chunk(args: tuple) -> SimResult:
         # pulses she left alone travel the installed fiber.
         arrivals = resend.astype(np.int64)
         if p.attack_fraction < 1.0:
-            passthrough_cdf = _binomial_cdf_table(system.t_ab(cfg.distance))
-            passed = _binomial_from_u(n, uniforms(_COL_CHANNEL), passthrough_cdf)
+            passed = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
             arrivals = np.where(intercepted, arrivals, passed)
         resend_error = resend & (uniforms(_COL_EVE_ERR) < err_p)
         eve_knows = resend & (both_bases | (case_a & (k_right == 1)) | all_right)
     elif cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
-        attack = cfg.attack
-        tap_cdf = _binomial_cdf_table(attack.lam)
-        k_e = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tap_cdf)
+        k_e = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.tap)
         eve_detected = k_e >= 1
         eve_basis_match = uniforms(_COL_EVE_AUX) < 0.5
-        shutter_open = eve_detected | (uniforms(_COL_EVE_USE) < attack.gamma)
-        survive_cdf = _binomial_cdf_table(attack.t_e)
-        arrivals = _binomial_from_u(n - k_e, uniforms(_COL_CHANNEL), survive_cdf)
+        shutter_open = eve_detected | (uniforms(_COL_EVE_USE) < cfg.attack.gamma)
+        arrivals = _binomial_from_u(n - k_e, uniforms(_COL_CHANNEL), tables.channel)
         arrivals[~shutter_open] = 0
         eve_knows = eve_detected & eve_basis_match
     else:
-        survive_cdf = _binomial_cdf_table(system.t_ab(cfg.distance))
-        arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), survive_cdf)
+        arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
 
     # Receiver: active basis choice, per-photon detection, dark counts on
     # the two gated detectors.
     bob_right = uniforms(_COL_BOB_BASIS) < 0.5  # his basis equals Alice's
-    det_cdf = _binomial_cdf_table(eta)
-    k_det = _binomial_from_u(arrivals, uniforms(_COL_BOB_DETECT), det_cdf)
-    half_cdf_b = _binomial_cdf_table(0.5)
-    k_split0 = _binomial_from_u(k_det, uniforms(_COL_BOB_SPLIT), half_cdf_b)
+    k_det = _binomial_from_u(arrivals, uniforms(_COL_BOB_DETECT), tables.detect)
+    k_split0 = _binomial_from_u(k_det, uniforms(_COL_BOB_SPLIT), tables.half)
 
+    alice_bit = uniforms(_COL_ALICE_BIT) < 0.5
     received_bit = alice_bit ^ resend_error
 
     # Signal photons per detector of the chosen basis.
     sig0 = np.where(bob_right, np.where(received_bit, 0, k_det), k_split0)
     sig1 = np.where(bob_right, np.where(received_bit, k_det, 0), k_det - k_split0)
-
-    if p_dark > 0:
-        dark0 = uniforms(_COL_DARK_0) < p_dark
-        dark1 = uniforms(_COL_DARK_1) < p_dark
-    else:
-        dark0 = np.zeros(count, dtype=bool)
-        dark1 = np.zeros(count, dtype=bool)
 
     click0 = (sig0 > 0) | dark0
     click1 = (sig1 > 0) | dark1
@@ -356,8 +436,8 @@ def _simulate_chunk(args: tuple) -> SimResult:
 
     sifted = bob_right & any_click & ~double
     bob_bit = click1  # exactly one detector clicked on sifted pulses
-    if qber_opt > 0:
-        bob_bit = bob_bit ^ (uniforms(_COL_QBER_FLIP) < qber_opt)
+    if system.qber_opt > 0:
+        bob_bit = bob_bit ^ (uniforms(_COL_QBER_FLIP) < system.qber_opt)
     errors = sifted & (bob_bit != alice_bit)
 
     return SimResult(
@@ -371,11 +451,23 @@ def _simulate_chunk(args: tuple) -> SimResult:
     )
 
 
+def _simulate_chunk(args: tuple) -> SimResult:
+    cfg, policy, start, stop = args
+    tables = _Tables.build(cfg)
+    total = SimResult()
+    for block in range(start // BLOCK, -(-stop // BLOCK)):
+        total = total + _simulate_block(cfg, policy, tables, block)
+    return total
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the pulse-level simulation described by ``cfg``.
 
     The tallies are independent of ``batch_size`` and ``workers``; both only
-    trade memory against parallelism.
+    set how the work is divided.  The random streams are laid out over fixed
+    blocks of ``BLOCK`` pulses (see the module docstring); each chunk of
+    ``batch_size`` pulses, rounded up to whole blocks, goes to one worker and
+    is simulated one block at a time.
     """
     cfg.validate()
     policy = _strategy_a_policy(cfg) if cfg.eve_model is EveModel.STRATEGY_A else None

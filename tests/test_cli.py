@@ -84,7 +84,11 @@ class TestExitCodes:
         assert rc == 0
         printed = capsys.readouterr().out.splitlines()
         assert printed[-1].startswith("PASS: family verdict, Holm at alpha=0.0027")
-        lines = out.read_text().splitlines()
+        text = out.read_text().splitlines()
+        header = [line for line in text if line.startswith("#")]
+        assert "# sim.seed = 42" in header
+        assert "# sim.pulses = 100000" in header
+        lines = [line for line in text if not line.startswith("#")]
         assert lines[0] == "check,quantity,observed,trials,expected,z,passed,p_value"
         assert len(lines) == 24
         assert all(0.0 <= float(line.split(",")[7]) <= 1.0 for line in lines[1:])

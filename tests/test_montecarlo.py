@@ -14,17 +14,23 @@ from qkd_eve_lab.config import ConfigError, SystemConfig
 from qkd_eve_lab.core_stats import BasisMode, ChannelParams, DetectorParams, SourceParams
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
+    _COL_DARK_0,
+    _COL_DARK_1,
+    BLOCK,
     FAMILY_ALPHA,
+    PHOTON_CAP,
     Report,
     SimConfig,
     SimResult,
+    _block_stream,
     _column_uniforms,
+    _dark_positions,
     binomial_p_value,
     compare,
     holm_rejections,
     simulate,
 )
-from qkd_eve_lab.strategy_a import INTERMEDIATE_STATE_QBER
+from qkd_eve_lab.strategy_a import CASE_LABELS, INTERMEDIATE_STATE_QBER, allocate
 from qkd_eve_lab.strategy_b import BeamsplitAttack, sifted_info_model, solve_gamma
 from qkd_eve_lab.verify import oracle_cases, oracle_suite
 
@@ -57,7 +63,87 @@ class TestColumnStreams:
             _column_uniforms(123, 0, 2, 8)
 
 
+class TestDarkPositions:
+    """Dark counts are placed per block as an exact i.i.d. Bernoulli process."""
+
+    @pytest.mark.parametrize("p, blocks", [(1e-6, 3000), (1e-3, 1000), (0.3, 200)])
+    def test_bernoulli_process_over_many_blocks(self, p, blocks):
+        counts = np.empty(blocks, dtype=np.int64)
+        first_half = 0
+        for block in range(blocks):
+            at = _dark_positions(77, _COL_DARK_0, block, BLOCK, p)
+            assert np.all(np.diff(at) > 0)  # sorted and unique
+            assert at.size == 0 or (at[0] >= 0 and at[-1] < BLOCK)
+            counts[block] = at.size
+            first_half += int(np.count_nonzero(at < BLOCK // 2))
+        total = int(counts.sum())
+        # Per block the count is Binomial(BLOCK, p): the total over all blocks
+        # is Binomial(blocks * BLOCK, p), and each dark count falls in the
+        # first half of its block with probability 1/2.
+        assert binomial_p_value(total, blocks * BLOCK, p) > 1e-4
+        assert binomial_p_value(first_half, total, 0.5) > 1e-4
+        # Sample variance against BLOCK p (1 - p), within 5 standard errors
+        # of a sample variance with the binomial's excess kurtosis.
+        var = BLOCK * p * (1.0 - p)
+        excess_kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
+        se = var * math.sqrt(2.0 / (blocks - 1) + excess_kurtosis / blocks)
+        assert abs(counts.var(ddof=1) - var) <= 5.0 * se
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.3])
+    def test_batched_gaps_equal_one_long_draw(self, p):
+        log_q = math.log1p(-p)
+        most = 0
+        for block in range(200):
+            at = _dark_positions(78, _COL_DARK_1, block, BLOCK, p)
+            u = _block_stream(78, _COL_DARK_1, block).random(
+                int(BLOCK * p + 10 * math.sqrt(BLOCK * p)) + 10)
+            ref = np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0) - 1.0
+            assert ref[-1] >= BLOCK  # the reference reaches past the block
+            assert np.array_equal(at, ref[ref < BLOCK].astype(np.int64))
+            most = max(most, at.size)
+        if p >= 1e-3:
+            # The first batch holds ceil(BLOCK p) + 1 gaps, so a block with
+            # more dark counts than ceil(BLOCK p) needed a second batch.
+            assert most > math.ceil(BLOCK * p)
+
+    def test_certain_and_impossible(self):
+        assert _dark_positions(1, _COL_DARK_0, 0, 100, 0.0).size == 0
+        assert np.array_equal(_dark_positions(1, _COL_DARK_0, 0, 100, 1.0), np.arange(100))
+
+
+def _block_edge_kwargs(case):
+    """Configs that reach every decision column: dark counts, optical error,
+    strategy A with and without blind fill, and strategy B."""
+    system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
+    if case == "none_dark":
+        return dict(system=system, eve_model=EveModel.NONE, distance_km=20.0)
+    if case == "strategy_a_blind_fill":
+        return dict(system=make_system(mu=0.2, length=0.0, p_dark=1e-3, qber_opt=0.005),
+                    eve_model=EveModel.STRATEGY_A, distance_km=0.0)
+    if case == "strategy_a_sparse":
+        return dict(system=system, eve_model=EveModel.STRATEGY_A, distance_km=20.0,
+                    attack_fraction=0.5, strategy_a_blind_fill=False)
+    t_e = system.eve_t_e(20.0)
+    gamma = solve_gamma(0.1, system.t_ab(20.0), 0.2, t_e)
+    return dict(system=system, eve_model=EveModel.STRATEGY_B, distance_km=20.0,
+                attack=BeamsplitAttack(lam=0.2, gamma=gamma, t_e=t_e))
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "case", ["none_dark", "strategy_a_blind_fill", "strategy_a_sparse", "strategy_b"])
+    def test_tallies_independent_of_chunking_across_block_edges(self, case):
+        n_pulses = 3 * BLOCK + 12_345  # the last block is partial
+        results = [
+            simulate(SimConfig(n_pulses=n_pulses, seed=31, batch_size=batch,
+                               workers=workers, **_block_edge_kwargs(case)))
+            for batch in (4, 1000, 77_780, 2**16, 2**20)
+            for workers in (1, 2)
+        ]
+        assert results[0].n_pulses == n_pulses
+        assert results[0].sifted > 0
+        assert all(r == results[0] for r in results[1:])
+
     def test_same_seed_same_result(self):
         cfg = SimConfig(system=make_system(), eve_model=EveModel.NONE,
                         n_pulses=300_000, seed=9)
@@ -167,6 +253,42 @@ class TestStrategyA:
                         distance_km=0.0, n_pulses=200_000, seed=108)
         sim = simulate(cfg)
         assert sim.sifted > 0
+
+    def test_blind_fill_matches_closed_form(self):
+        # At 0 km with mu = 0.2 the allocation runs in full deficit: Eve
+        # resends every class she can and fills vacuum pulses with blind
+        # states, so vacuum pulses click too.  With t_ab = eta_b = 1 and no
+        # dark counts each resent photon clicks exactly one detector, so
+        # P(click) = P(resend).  Per class: (probability, resend probability,
+        # error probability before the optical flip).
+        mu, qber_opt = 0.2, 0.005
+        mix = allocate(mu, 1.0)
+        assert mix.deficit and mix.blind > 0
+        resend = {x: mix.usage[x] / mix.supply[x] for x in CASE_LABELS}
+        p0 = math.exp(-mu)
+        classes = [
+            (p0, min(1.0, mix.blind / p0), 0.5),  # blind state
+            (mu * p0 / 2, resend["A"], 0.0),  # one photon, Eve's basis right
+            (mu * p0 / 2, resend["A"], 0.5),  # one photon, Eve's basis wrong
+        ]
+        for n in range(2, PHOTON_CAP + 1):
+            pn = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+            h = 0.5**n  # all n photons in one given basis
+            classes += [
+                (pn * (1 - 2 * h), resend["B"], INTERMEDIATE_STATE_QBER),  # both bases
+                (pn * h, resend["C"], 0.0),  # all in the right basis
+                (pn * h * 2 * h, resend["C"], 0.5),  # all wrong, one detector
+                (pn * h * (1 - 2 * h), resend["D"], 0.5),  # all wrong, both detectors
+            ]
+        p_click = sum(p * r for p, r, _ in classes)
+        e = sum(p * r * err for p, r, err in classes) / p_click
+        qber = e * (1 - qber_opt) + (1 - e) * qber_opt
+
+        system = make_system(mu=mu, length=0.0, eta=1.0, qber_opt=qber_opt)
+        sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
+                                 distance_km=0.0, n_pulses=10**6, seed=113))
+        assert abs(_z(sim.singles, sim.n_pulses, p_click)) <= 4
+        assert abs(_z(sim.errors, sim.sifted, qber)) <= 4
 
 
 class TestStrategyB:
@@ -280,9 +402,12 @@ class TestOracleSuiteFastTier:
         assert len(lines) == len(report.checks) + 1
 
 
-# Tallies of the oracle suite at seed 42 and 1e8 pulses: (check, quantity) ->
-# (observed, trials).  The sifted counts are the trial counts of the qber and
-# eve_fraction checks.
+# Tallies of the v0 oracle suite, which drew every decision column per pulse,
+# at seed 42 and 1e8 pulses: (check, quantity) -> (observed, trials).  The
+# block-sparse sampler draws other streams and so gives other tallies at this
+# seed; these stay as a fixture of realistic trial counts and of one run that
+# trips the 3-sigma rule, for the p-value and family-verdict tests.  The
+# sifted counts are the trial counts of the qber and eve_fraction checks.
 SEED42_1E8 = {
     ("clean_60km", "p_single"): (31652, 10**8),
     ("clean_60km", "p_coinc"): (2, 10**8),
