@@ -15,6 +15,7 @@ from . import core_stats, keyrate, strategy_a, strategy_b
 from .config import ConfigError, Settings, load_settings
 from .keyrate import EveModel
 from .montecarlo import SimConfig, simulate
+from .search import distance_grid
 from .strategy_b import BeamsplitAttack, solve_gamma
 from .verify import oracle_suite
 
@@ -102,9 +103,7 @@ def _cmd_stats(settings: Settings, out: Path | None) -> int:
     src, det = system.source, system.detector
     d_min, d_max, step = _sweep(settings)
     rows = []
-    n_steps = int(round((d_max - d_min) / step))
-    for i in range(n_steps + 1):
-        d = d_min + i * step
+    for d in distance_grid(d_min, d_max, step):
         t = system.t_ab(d)
         rate = core_stats.rates(src, t, det)
         rows.append((
@@ -117,9 +116,7 @@ def _cmd_stats(settings: Settings, out: Path | None) -> int:
             core_stats.multi_photon_fraction(src.mu, "second_order"),
             core_stats.p_single(src, t, det),
             core_stats.p_single_linear(src, t, det),
-            core_stats.p_coinc(src, t, det, system.basis_mode, form="exact")
-            if system.basis_mode is core_stats.BasisMode.ACTIVE
-            else core_stats.p_coinc(src, t, det, system.basis_mode),
+            core_stats.p_coinc(src, t, det, system.basis_mode),
             core_stats.p_coinc(src, t, det, core_stats.BasisMode.ACTIVE, form="approx"),
             rate.raw_hz,
             rate.sifted_hz,

@@ -6,11 +6,14 @@ list of valid ones; command-line overrides win over file values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .core_stats import BasisMode, ChannelParams, DetectorParams, SourceParams
+from .core_stats import (
+    BasisMode, ChannelParams, DetectorParams, SourceParams, transmission,
+)
 
 
 class ConfigError(ValueError):
@@ -19,9 +22,12 @@ class ConfigError(ValueError):
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str) -> int:
@@ -38,6 +44,13 @@ def _parse_optional_float(raw: str) -> float | None:
     return _parse_float(raw)
 
 
+def _parse_bool(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "false", "1", "0", "yes", "no"):
+        raise ConfigError(f"expected true/false/1/0/yes/no, got {raw!r}")
+    return value in ("true", "1", "yes")
+
+
 def _parse_basis(raw: str) -> str:
     if raw.lower() not in ("active", "passive"):
         raise ConfigError(f"protocol.basis_mode must be active or passive, got {raw!r}")
@@ -52,10 +65,7 @@ def _parse_eve_model(raw: str) -> str:
 
 
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}") from exc
+    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
 # key -> (attribute name, parser)
@@ -66,7 +76,7 @@ _KEY_SPEC = {
     "channel.length_ab": ("length_ab", _parse_float),
     "channel.alpha_e": ("alpha_e", _parse_float),
     "channel.bee_line_d": ("bee_line_d", _parse_optional_float),
-    "channel.monitor_tof": ("monitor_tof", lambda raw: raw.lower() in ("1", "true", "yes")),
+    "channel.monitor_tof": ("monitor_tof", _parse_bool),
     "detector.eta_b": ("eta_b", _parse_float),
     "detector.p_dark": ("p_dark", _parse_float),
     "protocol.basis_mode": ("basis_mode", _parse_basis),
@@ -120,8 +130,6 @@ class SystemConfig:
 
     def t_ab(self, distance_km: float) -> float:
         """Installed-link transmittance at a given fiber length."""
-        from .core_stats import transmission
-
         return transmission(self.channel.alpha_ab * distance_km)
 
     def eve_t_e(self, distance_km: float) -> float:
@@ -130,8 +138,6 @@ class SystemConfig:
         The straight-line shortcut scales proportionally when a bee-line
         distance was configured for the nominal length.
         """
-        from .core_stats import transmission
-
         ch = self.channel
         if self.monitor_tof or ch.bee_line_d is None or ch.length_ab == 0:
             d_e = distance_km

@@ -130,8 +130,8 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not 0 < self.eta_b <= 1:
             raise ValueError(f"eta_b must be in (0, 1], got {self.eta_b}")
-        if self.p_dark < 0:
-            raise ValueError(f"p_dark must be >= 0, got {self.p_dark}")
+        if not 0 <= self.p_dark <= 1:
+            raise ValueError(f"p_dark must be in [0, 1], got {self.p_dark}")
         if self.n_gated not in (2, 4):
             raise ValueError(f"n_gated must be 2 or 4, got {self.n_gated}")
 

@@ -18,8 +18,7 @@ import numpy as np
 from . import strategy_a, strategy_b
 from .config import SystemConfig
 from .core_stats import p_single
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .search import bisect, distance_grid, golden_max
 
 
 class EveModel(enum.Enum):
@@ -120,30 +119,29 @@ def _secret_fraction(qber_mes: float, i_eve: float, f_ec: float) -> float:
     return max(0.0, 1.0 - f_ec * binary_entropy(qber_mes) - i_eve)
 
 
-def _reference_rate(cfg: SystemConfig) -> float:
-    """Zero-distance no-eavesdropper rate used for relative normalization."""
-    budget = qber_model(0.0, cfg)
-    ps = p_single(cfg.source, 1.0, cfg.detector)
-    return (ps / 2.0) * _secret_fraction(budget.qber_mes, 0.0, cfg.f_ec)
+def _secret_rate(
+    distance_km: float, cfg: SystemConfig, i_eve: float
+) -> tuple[QberBudget, float]:
+    """QBER budget and per-pulse net rate (p_single / 2) * secret fraction."""
+    budget = qber_model(distance_km, cfg)
+    ps = p_single(cfg.source, cfg.t_ab(distance_km), cfg.detector)
+    return budget, (ps / 2.0) * _secret_fraction(budget.qber_mes, i_eve, cfg.f_ec)
 
 
 def net_rate(distance_km: float, eve: EveModel, cfg: SystemConfig) -> RatePoint:
     """Per-pulse net secret rate at one distance for one eavesdropper model."""
     if distance_km < 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
-    budget = qber_model(distance_km, cfg)
     mu_opt: float | None = None
     if eve is EveModel.UNLIMITED:
-        mu_opt, r_net = luetkenhaus_rate(distance_km, cfg)
-        mu_cfg = cfg.with_mu(mu_opt)
-        ps = p_single(mu_cfg.source, cfg.t_ab(distance_km), cfg.detector)
-        budget = qber_model(distance_km, mu_cfg)
+        mu_opt, _ = luetkenhaus_rate(distance_km, cfg)
         i_eve = unlimited_info(mu_opt, distance_km, cfg)
+        budget, r_net = _secret_rate(distance_km, cfg.with_mu(mu_opt), i_eve)
     else:
         i_eve = eve_information(distance_km, eve, cfg)
-        ps = p_single(cfg.source, cfg.t_ab(distance_km), cfg.detector)
-        r_net = (ps / 2.0) * _secret_fraction(budget.qber_mes, i_eve, cfg.f_ec)
-    reference = _reference_rate(cfg)
+        budget, r_net = _secret_rate(distance_km, cfg, i_eve)
+    # Zero-distance no-eavesdropper rate used for relative normalization.
+    _, reference = _secret_rate(0.0, cfg, 0.0)
     return RatePoint(
         distance_km=distance_km,
         t_ab=cfg.t_ab(distance_km),
@@ -176,32 +174,15 @@ def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[float, floa
         raise ValueError(f"distance must be >= 0, got {distance_km}")
 
     def value(mu: float) -> float:
-        mu_cfg = cfg.with_mu(mu)
-        budget = qber_model(distance_km, mu_cfg)
-        ps = p_single(mu_cfg.source, cfg.t_ab(distance_km), cfg.detector)
         i_eve = unlimited_info(mu, distance_km, cfg)
-        return (ps / 2.0) * _secret_fraction(budget.qber_mes, i_eve, cfg.f_ec)
+        return _secret_rate(distance_km, cfg.with_mu(mu), i_eve)[1]
 
     grid = np.geomspace(1e-5, 1.0, 121)
     values = [value(float(m)) for m in grid]
     best = int(np.argmax(values))
     lo = float(grid[max(0, best - 1)])
     hi = float(grid[min(len(grid) - 1, best + 1)])
-
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = value(c), value(d)
-    while abs(b - a) > 1e-6:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = value(d)
-    mu_opt = 0.5 * (a + b)
+    mu_opt = golden_max(value, lo, hi, 1e-6)
     return mu_opt, value(mu_opt)
 
 
@@ -215,30 +196,23 @@ def max_distance(
     ``d_limit`` ("unbounded at grid limit").
     """
 
-    def rate(d: float) -> float:
-        return net_rate(d, eve, cfg).r_net_normalized
+    def positive(d: float) -> bool:
+        return net_rate(d, eve, cfg).r_net_normalized > 0.0
 
     last_positive: float | None = None
     first_zero: float | None = None
-    for d in np.arange(0.0, d_limit + 1.0, 1.0):
-        if rate(float(d)) > 0.0:
-            last_positive = float(d)
-            if first_zero is not None:
-                first_zero = None  # rate recovered; keep scanning the tail
+    for d in distance_grid(0.0, d_limit, 1.0):
+        if positive(d):
+            last_positive = d
+            first_zero = None  # rate recovered; keep scanning the tail
         elif last_positive is not None and first_zero is None:
-            first_zero = float(d)
+            first_zero = d
     if last_positive is None:
         return 0.0
     if first_zero is None:
         return math.inf
-
-    lo, hi = last_positive, first_zero
-    while hi - lo > 0.05:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # The bracket is one grid step wide; five halvings leave 1/32 km.
+    lo, hi = bisect(positive, last_positive, first_zero, 5)
     return 0.5 * (lo + hi)
 
 
@@ -250,12 +224,4 @@ def curve(
     step: float = 1.0,
 ) -> list[RatePoint]:
     """Dense table of rate points for plotting; zeros stay exact zeros."""
-    if not 0 <= d_min < d_max:
-        raise ValueError(f"need 0 <= d_min < d_max, got {d_min}, {d_max}")
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    points = []
-    n_steps = int(round((d_max - d_min) / step))
-    for i in range(n_steps + 1):
-        points.append(net_rate(d_min + i * step, eve, cfg))
-    return points
+    return [net_rate(d, eve, cfg) for d in distance_grid(d_min, d_max, step)]

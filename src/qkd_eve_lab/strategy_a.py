@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .core_stats import to_loss_db, transmission
+from .search import distance_grid
 
 # Error probability of the intermediate state resent for a two-photon
 # detection seen in both bases: sin^2(pi/8).
@@ -191,9 +192,7 @@ def regime_curve(
 ) -> list[dict[str, float]]:
     """Rows (distance, ratio, mix fractions) for the regime plot."""
     rows: list[dict[str, float]] = []
-    n_steps = int(round((d_max - d_min) / step))
-    for i in range(n_steps + 1):
-        d = d_min + i * step
+    for d in distance_grid(d_min, d_max, step):
         mix = allocate(mu, transmission(alpha_ab * d))
         ratio = info_per_error(mix)
         rows.append(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_stats import BasisMode
+from .search import bisect, golden_max
 
 _BRACKET_TOL = -1e-15
 _EDGE_TOL = 1e-12
@@ -44,7 +45,6 @@ class BeamsplitAttack:
     lam: float
     gamma: float
     t_e: float
-    storage: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.lam <= 1:
@@ -70,22 +70,27 @@ def shutter_survival(attack: BeamsplitAttack, mu: float) -> float:
     return 1.0 - (1.0 - attack.gamma) * math.exp(-attack.lam * mu)
 
 
-def _bracket(attack: BeamsplitAttack, mu: float) -> float:
+def _bracket(mu: float, lam: float, gamma: float, t_e: float) -> float:
     """Common factor (gamma - 1) e^{-mu + (1-lam)(1-t_e) mu} + e^{-mu (1-lam) t_e}.
 
     Equals exp(-m) * shutter_survival with m = (1-lam) mu t_e; evaluated in
     the two-exponential form and checked non-negative.
     """
-    m = mu * attack.pass_mean_factor
-    e_blocked = math.exp(-mu * (attack.lam + attack.pass_mean_factor))
-    e_pass = math.exp(-m)
-    value = (attack.gamma - 1.0) * e_blocked + e_pass
+    pass_f = (1.0 - lam) * t_e
+    e_blocked = math.exp(-mu * (lam + pass_f))
+    e_pass = math.exp(-mu * pass_f)
+    value = (gamma - 1.0) * e_blocked + e_pass
     if value < _BRACKET_TOL:
         raise ValueError(
             f"photon distribution bracket is negative ({value}); "
             "invalid attack parameters or an implementation fault"
         )
     return max(value, 0.0)
+
+
+def _singles_level(mu: float, lam: float, gamma: float, t_e: float) -> float:
+    """Attacked singles per eta_b mu; the clean level is t_ab e^{-mu t_ab}."""
+    return (1.0 - lam) * t_e * _bracket(mu, lam, gamma, t_e)
 
 
 def photon_dist_prime(n: int, attack: BeamsplitAttack, mu: float) -> float:
@@ -97,13 +102,14 @@ def photon_dist_prime(n: int, attack: BeamsplitAttack, mu: float) -> float:
     m = mu * attack.pass_mean_factor
     if m == 0.0:
         return 0.0
-    return math.exp(n * math.log(m) - math.lgamma(n + 1)) * _bracket(attack, mu)
+    bracket = _bracket(mu, attack.lam, attack.gamma, attack.t_e)
+    return math.exp(n * math.log(m) - math.lgamma(n + 1)) * bracket
 
 
 def photon_dist_prime_zero(attack: BeamsplitAttack, mu: float) -> float:
     """Vacuum probability, defined by complement of the n >= 1 terms."""
     m = mu * attack.pass_mean_factor
-    return 1.0 - math.expm1(m) * _bracket(attack, mu)
+    return 1.0 - math.expm1(m) * _bracket(mu, attack.lam, attack.gamma, attack.t_e)
 
 
 def clean_singles_ref(mu: float, t_ab: float, eta_b: float) -> float:
@@ -337,19 +343,12 @@ def _pure_bsa_lambda(mu: float, t_ab: float, t_e: float) -> float:
     """
     target = t_ab * math.exp(-mu * t_ab)
 
-    def level(lam: float) -> float:
-        x = (1.0 - lam) * t_e
-        return x * math.exp(-mu * x)
+    def above(lam: float) -> bool:
+        return _singles_level(mu, lam, 1.0, t_e) > target
 
-    lo, hi = 0.0, 1.0
-    if level(0.0) <= target:
+    if not above(0.0):
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if level(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(above, 0.0, 1.0, 200)
     return 0.5 * (lo + hi)
 
 
@@ -428,14 +427,12 @@ def max_stealth_info(
     # Refine onto the z = 2 contour just below the best grid point, where the
     # shutter is more aggressive and the information slightly higher.
     if idx > 0 and feas_g[idx - 1] and z_g[idx - 1] > 2.0:
-        lo, hi = float(lams[idx - 1]), best[1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            res = evaluate(mid)
-            if res is None or res[2] > 2.0:
-                lo = mid
-            else:
-                hi = mid
+
+        def loud(lam: float) -> bool:
+            res = evaluate(lam)
+            return res is None or res[2] > 2.0
+
+        _, hi = bisect(loud, float(lams[idx - 1]), best[1], 60)
         res = evaluate(hi)
         if res is not None and res[2] <= 2.0 and res[1] > best[0]:
             best = (res[1], hi, res[0], res[2])
@@ -457,37 +454,17 @@ def lambda_for_gamma(
     pure beam-splitting point), or None when the level cannot reach the
     clean value at this gamma.
     """
+    BeamsplitAttack(lam=0.0, gamma=gamma, t_e=t_e)  # validates gamma and t_e
     target = t_ab * math.exp(-mu * t_ab)
 
     def level(lam: float) -> float:
-        attack = BeamsplitAttack(lam=lam, gamma=gamma, t_e=t_e)
-        return attack.pass_mean_factor * _bracket(attack, mu)
+        return _singles_level(mu, lam, gamma, t_e)
 
-    # Locate the peak of the unimodal level by golden-section search.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fa, fb = level(a), level(b)
-    for _ in range(100):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = level(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = level(a)
-    lam_peak = 0.5 * (lo + hi)
-
+    # At gamma = 1 the peak is the lam = 0 edge, which the search only nears.
+    lam_peak = max(0.0, golden_max(level, 0.0, 1.0, 1e-12), key=level)
     if level(lam_peak) < target:
         return None
-    lo, hi = lam_peak, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if level(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda lam: level(lam) > target, lam_peak, 1.0, 200)
     return 0.5 * (lo + hi)
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and config handling."""
 import math
+from pathlib import Path
 
 import pytest
 
+from qkd_eve_lab import config
 from qkd_eve_lab.cli import main
 from qkd_eve_lab.config import (
     ConfigError,
@@ -11,6 +13,8 @@ from qkd_eve_lab.config import (
     load_settings,
     parse_config_text,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConfigParsing:
@@ -206,3 +210,97 @@ class TestEdgeValues:
         curve = out.with_name("rates_none_mu0.1.csv")
         rows = [l for l in curve.read_text().splitlines() if not l.startswith("#")][1:]
         assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize("command", ["stats", "strategy-a", "rates"])
+    @pytest.mark.parametrize("sweep", [
+        ["sweep.step=0"],
+        ["sweep.step=-1"],
+        ["sweep.d_min=50", "sweep.d_max=10"],
+    ])
+    def test_bad_sweep_exits_one_without_output(self, command, sweep, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        args = [command, "--out", str(out)]
+        for item in sweep:
+            args += ["--set", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+_NUMERIC_PARSERS = {
+    config._parse_float, config._parse_int, config._parse_optional_float,
+    config._parse_mu_list,
+}
+_NUMERIC_KEYS = sorted(
+    key for key, (_, parser) in config._KEY_SPEC.items() if parser in _NUMERIC_PARSERS
+)
+
+
+class TestNonFiniteValues:
+    def test_every_key_but_the_enums_and_the_flag_is_numeric(self):
+        assert len(_NUMERIC_KEYS) == len(config._KEY_SPEC) - 3
+
+    @pytest.mark.parametrize("key", _NUMERIC_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_one_and_names_the_key(self, key, value, capsys):
+        rc = main(["strategy-b", "--report", "thresholds", "--set", f"{key}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert "finite" in err
+
+    def test_non_finite_entry_in_a_list(self, capsys):
+        rc = main(["rates", "--set", "rates.mu_values=0.1,nan"])
+        assert rc == 1
+        assert "rates.mu_values" in capsys.readouterr().err
+
+    def test_non_finite_pulses_flag_names_the_key(self, capsys):
+        rc = main(["montecarlo", "--pulses", "nan"])
+        assert rc == 1
+        assert "sim.pulses" in capsys.readouterr().err
+
+
+class TestStrictBooleans:
+    @pytest.mark.parametrize("raw,expected", [
+        ("true", True), ("YES", True), ("1", True),
+        ("false", False), ("No", False), ("0", False),
+    ])
+    def test_accepted_spellings(self, raw, expected):
+        settings = Settings()
+        settings.apply({"channel.monitor_tof": raw})
+        assert settings.monitor_tof is expected
+
+    @pytest.mark.parametrize("raw", ["flase", "", "2", "on"])
+    def test_misspelling_exits_one_and_names_the_key(self, raw, capsys):
+        rc = main(["strategy-b", "--report", "thresholds",
+                   "--set", f"channel.monitor_tof={raw}"])
+        assert rc == 1
+        assert "channel.monitor_tof" in capsys.readouterr().err
+
+
+class TestDarkCountCap:
+    def test_dark_count_probability_above_one_exits_one(self, capsys):
+        rc = main(["montecarlo", "--set", "detector.p_dark=2",
+                   "--set", "sim.pulses=1e4"])
+        assert rc == 1
+        assert "p_dark" in capsys.readouterr().err
+
+
+class TestGoldenOutput:
+    """Data rows at the shipped defaults match the stored copies byte for byte."""
+
+    @pytest.mark.parametrize("command,golden", [
+        ("stats", "stats_default.csv"),
+        ("strategy-a", "strategy_a_default.csv"),
+        ("strategy-b", "strategy_b_default.csv"),
+    ])
+    def test_data_rows_are_byte_identical(self, command, golden, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--out", str(out)]) == 0
+        rows = [line for line in out.read_bytes().splitlines(keepends=True)
+                if not line.startswith(b"#")]
+        assert b"".join(rows) == (DATA / golden).read_bytes()

@@ -276,6 +276,14 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DetectorParams(n_gated=3)
 
+    @pytest.mark.parametrize("p_dark", [1.0 + 1e-12, 2.0, math.nan, math.inf])
+    def test_detector_dark_count_probability_is_capped_at_one(self, p_dark):
+        with pytest.raises(ValueError, match="p_dark"):
+            DetectorParams(p_dark=p_dark)
+
+    def test_detector_dark_count_probability_one_is_allowed(self):
+        assert DetectorParams(p_dark=1.0).p_dark == 1.0
+
     def test_channel(self):
         with pytest.raises(ValueError):
             ChannelParams(alpha_ab=-0.1)

@@ -1,0 +1,56 @@
+"""Unit tests of the shared searches and the distance grid."""
+import math
+
+import pytest
+
+from qkd_eve_lab.search import bisect, distance_grid, golden_max
+
+
+def _loop_grid(d_min, d_max, step):
+    n_steps = int(round((d_max - d_min) / step))
+    return [d_min + i * step for i in range(n_steps + 1)]
+
+
+@pytest.mark.parametrize("d_min,d_max,step", [(0, 200, 1), (0, 120, 5), (0.5, 10, 0.3)])
+def test_distance_grid_matches_the_sweep_loop(d_min, d_max, step):
+    assert distance_grid(d_min, d_max, step) == _loop_grid(d_min, d_max, step)
+
+
+@pytest.mark.parametrize(
+    "d_min,d_max,step",
+    [(0, 10, 0), (0, 10, -1), (0, 10, math.nan), (10, 5, 1), (5, 5, 1),
+     (-1, 5, 1), (0, math.inf, 1), (math.nan, 5, 1)],
+)
+def test_distance_grid_rejects_bad_sweeps(d_min, d_max, step):
+    with pytest.raises(ValueError):
+        distance_grid(d_min, d_max, step)
+
+
+def test_bisect_equals_the_hand_written_loop():
+    def inside(x):
+        return math.exp(-3.0 * x) > 0.2
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert bisect(inside, 0.0, 1.0, 60) == (lo, hi)
+    assert 0.5 * (lo + hi) == pytest.approx(math.log(5.0) / 3.0, rel=1e-15)
+
+
+def test_bisect_zero_steps_returns_the_bracket():
+    assert bisect(lambda x: True, 1.0, 2.0, 0) == (1.0, 2.0)
+
+
+def test_golden_max_finds_an_interior_peak():
+    x = golden_max(lambda m: -(m - 0.3) ** 2, 0.0, 1.0, 1e-9)
+    assert x == pytest.approx(0.3, abs=1e-8)
+
+
+def test_golden_max_breaks_ties_to_the_right():
+    # Zero-rate tails are flat; the search walks to the right end of them.
+    x = golden_max(lambda m: 0.0, 2.0, 3.0, 1e-6)
+    assert 3.0 - 1e-6 < x < 3.0
