@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import core_stats, keyrate, strategy_a, strategy_b
-from .config import ConfigError, Settings, load_settings
+from .config import ConfigError, Settings, default_config_text, load_settings
 from .keyrate import EveModel
 from .montecarlo import SimConfig, simulate
 from .search import distance_grid
@@ -74,7 +74,11 @@ def _write_csv(
 
 
 def _sweep(settings: Settings) -> tuple[float, float, float]:
-    return settings.d_min, settings.d_max, settings.d_step
+    d_min, d_max = settings.d_min, settings.d_max
+    if not d_max > d_min:
+        raise ConfigError(
+            f"sweep.d_max: must exceed sweep.d_min = {d_min}, got {d_max}")
+    return d_min, d_max, settings.d_step
 
 
 def _eve_t_e(settings: Settings, distance_km: float) -> float:
@@ -98,7 +102,7 @@ def _attack_from_settings(settings: Settings, distance_km: float) -> BeamsplitAt
     return BeamsplitAttack(lam=settings.eve_lambda, gamma=gamma, t_e=t_e)
 
 
-def _cmd_stats(settings: Settings, out: Path | None) -> int:
+def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
     src, det = system.source, system.detector
     d_min, d_max, step = _sweep(settings)
@@ -121,7 +125,7 @@ def _cmd_stats(settings: Settings, out: Path | None) -> int:
             rate.raw_hz,
             rate.sifted_hz,
         ))
-    _write_csv(out, settings, [
+    _write_csv(args.out, settings, [
         "distance_km", "t_ab", "p0", "p1", "p2",
         "multiphoton_exact", "multiphoton_second_order",
         "p_single", "p_single_linear", "p_coinc", "p_coinc_approx",
@@ -130,12 +134,12 @@ def _cmd_stats(settings: Settings, out: Path | None) -> int:
     return EXIT_OK
 
 
-def _cmd_strategy_a(settings: Settings, out: Path | None) -> int:
+def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
     d_min, d_max, step = _sweep(settings)
     rows = strategy_a.regime_curve(settings.mu, settings.alpha_ab, d_min, d_max, step)
     crossover = strategy_a.pure_b_crossover_km(settings.mu, settings.alpha_ab)
     _write_csv(
-        out,
+        args.out,
         settings,
         ["distance_km", "ratio", "frac_A", "frac_B", "frac_C", "frac_D",
          "frac_blind", "deficit"],
@@ -147,9 +151,9 @@ def _cmd_strategy_a(settings: Settings, out: Path | None) -> int:
     return EXIT_OK
 
 
-def _cmd_strategy_b(settings: Settings, out: Path | None, report: str) -> int:
+def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
-    if report == "thresholds":
+    if args.report == "thresholds":
         g_block = strategy_b.blocking_threshold_db(settings.mu)
         print(f"blocking threshold: gamma=0 feasible for G_t >= {g_block:.2f} dB "
               f"(t_ab <= t_e*mu/4, mu={settings.mu})")
@@ -166,7 +170,7 @@ def _cmd_strategy_b(settings: Settings, out: Path | None, report: str) -> int:
         settings.mu, t_ab, settings.eta_b, system.basis_mode
     )
     _write_csv(
-        out,
+        args.out,
         settings,
         ["gamma", "expected_coincidences", "z_score", "info"],
         [tuple(r.values()) for r in rows],
@@ -193,10 +197,13 @@ def _curve_rows(points: list[keyrate.RatePoint]) -> list[tuple]:
     ]
 
 
-def _cmd_rates(settings: Settings, out: Path | None) -> int:
+def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
+    if settings.eve_t_e is not None:
+        raise ConfigError("eve.t_e: rates derives t_e at each distance from "
+                          "channel.alpha_e and channel.bee_line_d; leave it auto")
     system = settings.system()
     d_min, d_max, step = _sweep(settings)
-    stem = out if out is not None else Path("rates.csv")
+    stem = args.out if args.out is not None else Path("rates.csv")
 
     curve_specs: list[tuple[EveModel, float]] = []
     for mu in settings.mu_values:
@@ -227,9 +234,9 @@ def _cmd_rates(settings: Settings, out: Path | None) -> int:
     return EXIT_OK
 
 
-def _cmd_montecarlo(settings: Settings, out: Path | None) -> int:
+def _cmd_montecarlo(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
-    model = EveModel.from_string(settings.eve_model)
+    model = settings.eve_model
     distance = settings.length_ab
     attack = None
     if model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
@@ -246,12 +253,12 @@ def _cmd_montecarlo(settings: Settings, out: Path | None) -> int:
         workers=settings.workers,
     )
     result = simulate(sim_cfg)
-    _write_lines(out, _header_lines(settings) + result.csv_lines())
+    _write_lines(args.out, _header_lines(settings) + result.csv_lines())
     print(result.summary())
     return EXIT_OK
 
 
-def _cmd_verify(settings: Settings, out: Path | None) -> int:
+def _cmd_verify(settings: Settings, args: argparse.Namespace) -> int:
     """Run the oracle suite; exit 2 when Holm's family verdict rejects a check."""
     report = oracle_suite(
         n_pulses=settings.n_pulses,
@@ -261,8 +268,8 @@ def _cmd_verify(settings: Settings, out: Path | None) -> int:
     )
     for line in report.lines():
         print(line)
-    if out is not None:
-        _write_lines(out, _header_lines(settings) + report.csv_lines())
+    if args.out is not None:
+        _write_lines(args.out, _header_lines(settings) + report.csv_lines())
     return EXIT_OK if report.family_pass else EXIT_VERIFY
 
 
@@ -273,15 +280,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "thresholds, and a pulse-level simulation oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("stats", "photon statistics and detection probability table"),
-        ("strategy-a", "intercept-resend regime curve and crossover report"),
-        ("strategy-b", "beamsplitter attack curve or threshold report"),
-        ("rates", "net-rate curves and max-distance table for all models"),
-        ("montecarlo", "run the pulse-level simulation"),
-        ("verify", "analytic-versus-simulation oracle suite"),
+    epilog = default_config_text()
+    for name, run, help_text in [
+        ("stats", _cmd_stats, "photon statistics and detection probability table"),
+        ("strategy-a", _cmd_strategy_a,
+         "intercept-resend regime curve and crossover report"),
+        ("strategy-b", _cmd_strategy_b,
+         "beamsplitter attack curve or threshold report"),
+        ("rates", _cmd_rates, "net-rate curves and max-distance table for all models"),
+        ("montecarlo", _cmd_montecarlo, "run the pulse-level simulation"),
+        ("verify", _cmd_verify, "analytic-versus-simulation oracle suite"),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, epilog=epilog,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
+        cmd.set_defaults(run=run)
         cmd.add_argument("--config", type=Path, default=None,
                          help="key=value config file")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -299,25 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"sim.seed": args.seed, "sim.pulses": args.pulses}
+    overrides = args.set + [f"{k}={v!r}" for k, v in flags.items() if v is not None]
     try:
-        settings = load_settings(args.config, args.set)
-        if args.seed is not None:
-            settings.seed = args.seed
-        if args.pulses is not None:
-            settings.apply({"sim.pulses": repr(args.pulses)})
-        if args.command == "stats":
-            return _cmd_stats(settings, args.out)
-        if args.command == "strategy-a":
-            return _cmd_strategy_a(settings, args.out)
-        if args.command == "strategy-b":
-            return _cmd_strategy_b(settings, args.out, args.report)
-        if args.command == "rates":
-            return _cmd_rates(settings, args.out)
-        if args.command == "montecarlo":
-            return _cmd_montecarlo(settings, args.out)
-        if args.command == "verify":
-            return _cmd_verify(settings, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(load_settings(args.config, overrides), args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

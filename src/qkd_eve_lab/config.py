@@ -1,18 +1,26 @@
 """System configuration and the flat key=value config file format.
 
+Every config key is declared once, as one field of ``Settings``: its dotted
+name, parser, shipped default, bounds and a one-line doc.  Everything else is
+derived from those fields: ``Settings()`` holds the shipped defaults, the key
+table ``_KEY_SPEC``, the bounds check, the ``#`` header of every CSV and the
+defaults text that ``--help`` prints.
+
 Files are plain text: one ``section.key = value`` per line, ``#`` starts a
 comment, keys are namespaced with dots.  Unknown keys are rejected with the
-list of valid ones; command-line overrides win over file values.
+list of valid ones; command-line overrides win over file values, and every
+rejected value names its key.
 """
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .core_stats import (
-    BasisMode, ChannelParams, DetectorParams, SourceParams, transmission,
+    BasisMode, ChannelParams, DetectorParams, EveModel, SourceParams, transmission,
 )
 
 
@@ -31,8 +39,9 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int(raw: str) -> int:
-    # Accept scientific notation for counts (sim.pulses = 1e8).
-    value = _parse_float(raw)
+    # Integer literals stay exact (seeds up to 2**128); counts may also be
+    # written in scientific notation (sim.pulses = 1e8).
+    value = int(raw) if raw.strip().removeprefix("-").isdecimal() else _parse_float(raw)
     if value != int(value):
         raise ConfigError(f"expected an integer, got {raw!r}")
     return int(value)
@@ -51,52 +60,48 @@ def _parse_bool(raw: str) -> bool:
     return value in ("true", "1", "yes")
 
 
-def _parse_basis(raw: str) -> str:
-    if raw.lower() not in ("active", "passive"):
-        raise ConfigError(f"protocol.basis_mode must be active or passive, got {raw!r}")
-    return raw.lower()
-
-
-def _parse_eve_model(raw: str) -> str:
-    allowed = ("none", "strategy-a", "strategy-b", "strategy-b-storage", "unlimited")
-    if raw.lower() not in allowed:
-        raise ConfigError(f"eve.model must be one of {allowed}, got {raw!r}")
-    return raw.lower()
+def _parse_enum(cls: type[enum.Enum]) -> Callable[[str], enum.Enum]:
+    def parse(raw: str) -> enum.Enum:
+        try:
+            return cls(raw.lower())
+        except ValueError:
+            allowed = ", ".join(member.value for member in cls)
+            raise ConfigError(f"expected one of {allowed}, got {raw!r}") from None
+    return parse
 
 
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
-# key -> (attribute name, parser)
-_KEY_SPEC = {
-    "source.mu": ("mu", _parse_float),
-    "source.nu": ("nu", _parse_float),
-    "channel.alpha_ab": ("alpha_ab", _parse_float),
-    "channel.length_ab": ("length_ab", _parse_float),
-    "channel.alpha_e": ("alpha_e", _parse_float),
-    "channel.bee_line_d": ("bee_line_d", _parse_optional_float),
-    "channel.monitor_tof": ("monitor_tof", _parse_bool),
-    "detector.eta_b": ("eta_b", _parse_float),
-    "detector.p_dark": ("p_dark", _parse_float),
-    "protocol.basis_mode": ("basis_mode", _parse_basis),
-    "qber.optical": ("qber_opt", _parse_float),
-    "qber.attrib_floor": ("qber_attrib_floor", _parse_float),
-    "keyrate.f_ec": ("f_ec", _parse_float),
-    "eve.model": ("eve_model", _parse_eve_model),
-    "eve.lambda": ("eve_lambda", _parse_float),
-    "eve.gamma": ("eve_gamma", _parse_optional_float),
-    "eve.t_e": ("eve_t_e", _parse_optional_float),
-    "eve.attack_fraction": ("attack_fraction", _parse_float),
-    "sim.pulses": ("n_pulses", _parse_int),
-    "sim.seed": ("seed", _parse_int),
-    "sim.batch_size": ("batch_size", _parse_int),
-    "sim.workers": ("workers", _parse_int),
-    "sweep.d_min": ("d_min", _parse_float),
-    "sweep.d_max": ("d_max", _parse_float),
-    "sweep.step": ("d_step", _parse_float),
-    "rates.mu_values": ("mu_values", _parse_mu_list),
-}
+def _ends(bounds: str) -> list[float]:
+    """Endpoints of an interval written as ``(0, 1]`` or ``[0, 2**128)``."""
+    parts = (token.partition("**") for token in bounds[1:-1].split(","))
+    return [float(base) ** int(power or 1) for base, _, power in parts]
+
+
+def _within(bounds: str, x: float) -> bool:
+    lo, hi = _ends(bounds)
+    above = lo < x if bounds[0] == "(" else lo <= x
+    return above and (x < hi if bounds[-1] == ")" else x <= hi)
+
+
+def _key(name: str, parser: Callable, default, bounds: str | None, doc: str):
+    """One config key: a ``Settings`` field that carries its own metadata."""
+    meta = {"key": name, "parser": parser, "bounds": bounds, "doc": doc}
+    return field(default=default, metadata=meta)
+
+
+def _render(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,9 @@ class SystemConfig:
             raise ConfigError(
                 f"qber_attrib_floor must be in [0, 0.5], got {self.qber_attrib_floor}"
             )
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise ConfigError(f"f_ec must be >= 1, got {self.f_ec}")
-        if self.n_pulses < 1:
+        if not self.n_pulses >= 1:
             raise ConfigError(f"n_pulses must be >= 1, got {self.n_pulses}")
 
     def with_mu(self, mu: float) -> "SystemConfig":
@@ -148,34 +153,61 @@ class SystemConfig:
 
 @dataclass
 class Settings:
-    """Everything a run can configure, with the shipped defaults filled in."""
+    """Every config key, one field each; ``Settings()`` is the shipped defaults."""
 
-    mu: float = 0.1
-    nu: float = 1.0e6
-    alpha_ab: float = 0.25
-    length_ab: float = 60.0
-    alpha_e: float = 0.15
-    bee_line_d: float | None = None
-    monitor_tof: bool = False
-    eta_b: float = 0.1
-    p_dark: float = 1.0e-6
-    basis_mode: str = "active"
-    qber_opt: float = 0.005
-    qber_attrib_floor: float = 0.01
-    f_ec: float = 1.0
-    eve_model: str = "none"
-    eve_lambda: float = 0.5
-    eve_gamma: float | None = 1.0
-    eve_t_e: float | None = None
-    attack_fraction: float = 1.0
-    n_pulses: int = 10**10
-    seed: int = 42
-    batch_size: int = 2**20
-    workers: int = 1
-    d_min: float = 0.0
-    d_max: float = 200.0
-    d_step: float = 1.0
-    mu_values: tuple[float, ...] = (0.05, 0.1, 0.2)
+    mu: float = _key("source.mu", _parse_float, 0.1, "(0, inf)",
+                     "mean photon number per pulse")
+    nu: float = _key("source.nu", _parse_float, 1.0e6, "(0, inf)",
+                     "pulse rate in Hz; free choice, rates also reported per pulse")
+    alpha_ab: float = _key("channel.alpha_ab", _parse_float, 0.25, "[0, inf)",
+                           "installed fiber, dB/km")
+    length_ab: float = _key("channel.length_ab", _parse_float, 60.0, "[0, inf)",
+                            "installed fiber length, km")
+    alpha_e: float = _key("channel.alpha_e", _parse_float, 0.15, "[0, inf)",
+                          "eavesdropper's best fiber, dB/km")
+    bee_line_d: float | None = _key("channel.bee_line_d", _parse_optional_float, None,
+                                    "[0, inf)", "bee-line distance, km; none = length")
+    monitor_tof: bool = _key("channel.monitor_tof", _parse_bool, False, None,
+                             "time of flight watched: Eve cannot take a shortcut")
+    eta_b: float = _key("detector.eta_b", _parse_float, 0.1, "(0, 1]",
+                        "Bob's detection efficiency")
+    p_dark: float = _key("detector.p_dark", _parse_float, 1.0e-6, "[0, 1]",
+                         "dark-count probability per gated detector and pulse")
+    basis_mode: BasisMode = _key("protocol.basis_mode", _parse_enum(BasisMode),
+                                 BasisMode.ACTIVE, None,
+                                 "Bob's basis choice: 2 or 4 detectors gated per pulse")
+    qber_opt: float = _key("qber.optical", _parse_float, 0.005, "[0, 0.5]",
+                           "optical error rate, the same at every distance")
+    qber_attrib_floor: float = _key("qber.attrib_floor", _parse_float, 0.01, "[0, 0.5]",
+                                    "error budget attributed to the eavesdropper")
+    f_ec: float = _key("keyrate.f_ec", _parse_float, 1.0, "[1, inf)",
+                       "error-correction inefficiency (1 = Shannon limit)")
+    eve_model: EveModel = _key("eve.model", _parse_enum(EveModel), EveModel.NONE, None,
+                               "eavesdropper that montecarlo simulates")
+    eve_lambda: float = _key("eve.lambda", _parse_float, 0.5, "[0, 1]",
+                             "strategy B: fraction of each pulse tapped")
+    eve_gamma: float | None = _key("eve.gamma", _parse_optional_float, 1.0, "[0, 1]",
+                                   "shutter pass fraction; auto = solve from singles")
+    eve_t_e: float | None = _key("eve.t_e", _parse_optional_float, None, "(0, 1]",
+                                 "Eve's fiber transmittance; auto = from channel.*")
+    attack_fraction: float = _key("eve.attack_fraction", _parse_float, 1.0, "[0, 1]",
+                                  "strategy A: fraction of pulses intercepted")
+    n_pulses: int = _key("sim.pulses", _parse_int, 10**10, "[1, inf)",
+                         "pulses simulated; also Eve's alarm window")
+    seed: int = _key("sim.seed", _parse_int, 42, "[0, 2**128)", "simulation seed")
+    batch_size: int = _key("sim.batch_size", _parse_int, 2**20, "[1, inf)",
+                           "pulses per work unit; changes no result")
+    workers: int = _key("sim.workers", _parse_int, 1, "[1, inf)",
+                        "worker processes; change no result")
+    d_min: float = _key("sweep.d_min", _parse_float, 0.0, "[0, inf)",
+                        "first distance of a sweep, km")
+    d_max: float = _key("sweep.d_max", _parse_float, 200.0, None,
+                        "last distance of a sweep, km; above sweep.d_min")
+    d_step: float = _key("sweep.step", _parse_float, 1.0, "(0, inf)",
+                         "distance step of a sweep, km")
+    mu_values: tuple[float, ...] = _key("rates.mu_values", _parse_mu_list,
+                                        (0.05, 0.1, 0.2), "(0, inf)",
+                                        "mu of each rates curve, comma-separated")
 
     def apply(self, pairs: dict[str, str]) -> None:
         for key, raw in pairs.items():
@@ -189,26 +221,28 @@ class Settings:
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
 
+    def check_bounds(self) -> None:
+        """Reject the first value outside its key's interval, naming the key."""
+        for f in fields(self):
+            bounds, value = f.metadata["bounds"], getattr(self, f.name)
+            if bounds is None or value is None:
+                continue
+            for x in value if isinstance(value, tuple) else (value,):
+                if not _within(bounds, x):
+                    key = f.metadata["key"]
+                    raise ConfigError(f"{key}: must be in {bounds}, got {x}")
+
     def system(self) -> SystemConfig:
-        mode = BasisMode.ACTIVE if self.basis_mode == "active" else BasisMode.PASSIVE
         try:
             return SystemConfig(
                 source=SourceParams(mu=self.mu, nu=self.nu),
-                channel=ChannelParams(
-                    alpha_ab=self.alpha_ab,
-                    length_ab=self.length_ab,
-                    alpha_e=self.alpha_e,
-                    bee_line_d=self.bee_line_d,
-                ),
-                detector=DetectorParams(
-                    eta_b=self.eta_b, p_dark=self.p_dark, n_gated=mode.n_gated
-                ),
-                basis_mode=mode,
-                qber_opt=self.qber_opt,
-                qber_attrib_floor=self.qber_attrib_floor,
-                f_ec=self.f_ec,
-                n_pulses=self.n_pulses,
-                monitor_tof=self.monitor_tof,
+                channel=ChannelParams(alpha_ab=self.alpha_ab, length_ab=self.length_ab,
+                                      alpha_e=self.alpha_e, bee_line_d=self.bee_line_d),
+                detector=DetectorParams(eta_b=self.eta_b, p_dark=self.p_dark,
+                                        n_gated=self.basis_mode.n_gated),
+                basis_mode=self.basis_mode, qber_opt=self.qber_opt,
+                qber_attrib_floor=self.qber_attrib_floor, f_ec=self.f_ec,
+                n_pulses=self.n_pulses, monitor_tof=self.monitor_tof,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -220,21 +254,17 @@ class Settings:
         cannot change any result, and output files must stay byte-identical
         across them.
         """
-        out: dict[str, str] = {}
-        for key, (attr, _) in sorted(_KEY_SPEC.items()):
-            if key in ("sim.workers", "sim.batch_size"):
-                continue
-            value = getattr(self, attr)
-            if value is None:
-                text = "none"
-            elif isinstance(value, tuple):
-                text = ",".join(repr(v) for v in value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            else:
-                text = repr(value) if isinstance(value, float) else str(value)
-            out[key] = text
-        return out
+        return {
+            key: _render(getattr(self, attr))
+            for key, (attr, _) in sorted(_KEY_SPEC.items())
+            if key not in ("sim.workers", "sim.batch_size")
+        }
+
+
+# key -> (attribute name, parser)
+_KEY_SPEC = {
+    f.metadata["key"]: (f.name, f.metadata["parser"]) for f in fields(Settings)
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -255,9 +285,9 @@ def load_settings(
     config_path: str | Path | None = None,
     overrides: list[str] | None = None,
 ) -> Settings:
-    """Defaults, then the config file, then key=value overrides."""
+    """Defaults, then the config file, then key=value overrides; then every
+    value is checked against its key's bounds."""
     settings = Settings()
-    settings.apply(parse_config_text(default_config_text()))
     if config_path is not None:
         text = Path(config_path).read_text(encoding="utf-8")
         settings.apply(parse_config_text(text))
@@ -269,9 +299,22 @@ def load_settings(
             key, _, raw = item.partition("=")
             pairs[key.strip()] = raw.strip()
         settings.apply(pairs)
+    settings.check_bounds()
     return settings
 
 
 def default_config_text() -> str:
-    """Contents of the shipped defaults file."""
-    return resources.files(__package__).joinpath("defaults.cfg").read_text("utf-8")
+    """The shipped defaults as a config file, one ``key = default  # doc`` line
+    per key; it parses back to ``Settings()``."""
+    rows = []
+    for f in fields(Settings):
+        doc, bounds = f.metadata["doc"], f.metadata["bounds"]
+        if isinstance(f.default, enum.Enum):
+            doc += f"; one of {', '.join(m.value for m in type(f.default))}"
+        if bounds is not None:
+            doc += f"; in {bounds}"
+        rows.append((f"{f.metadata['key']} = {_render(f.default)}", doc))
+    width = max(len(left) for left, _ in rows)
+    lines = ["# Shipped defaults; override any key with --set key=value."]
+    lines += [f"{left:<{width}}  # {doc}" for left, doc in rows]
+    return "\n".join(lines) + "\n"

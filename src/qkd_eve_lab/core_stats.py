@@ -39,6 +39,16 @@ class BasisMode(enum.Enum):
         return 2 if self is BasisMode.ACTIVE else 4
 
 
+class EveModel(enum.Enum):
+    """Which eavesdropper the privacy amplification has to assume."""
+
+    NONE = "none"
+    STRATEGY_A = "strategy-a"
+    STRATEGY_B = "strategy-b"
+    STRATEGY_B_STORAGE = "strategy-b-storage"
+    UNLIMITED = "unlimited"
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Faint-laser source: mean photon number per pulse and pulse rate.
@@ -91,18 +101,18 @@ class ChannelParams:
     bee_line_d: float | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha_ab < 0:
+        if not self.alpha_ab >= 0:
             raise ValueError(f"alpha_ab must be >= 0, got {self.alpha_ab}")
-        if self.length_ab < 0:
+        if not self.length_ab >= 0:
             raise ValueError(f"length_ab must be >= 0, got {self.length_ab}")
-        if self.alpha_e < 0:
+        if not self.alpha_e >= 0:
             raise ValueError(f"alpha_e must be >= 0, got {self.alpha_e}")
-        if self.alpha_e > self.alpha_ab:
+        if not self.alpha_e <= self.alpha_ab:
             raise ValueError(
                 "alpha_e must not exceed alpha_ab "
                 f"(got {self.alpha_e} > {self.alpha_ab})"
             )
-        if self.bee_line_d is not None and self.bee_line_d > self.length_ab:
+        if self.bee_line_d is not None and not self.bee_line_d <= self.length_ab:
             raise ValueError(
                 "bee_line_d cannot exceed the installed fiber length "
                 f"(got {self.bee_line_d} > {self.length_ab})"

@@ -9,7 +9,6 @@ attributed to the eavesdropper.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,25 +16,8 @@ import numpy as np
 
 from . import strategy_a, strategy_b
 from .config import SystemConfig
-from .core_stats import p_single
+from .core_stats import EveModel, p_single
 from .search import bisect, distance_grid, golden_max
-
-
-class EveModel(enum.Enum):
-    """Which eavesdropper the privacy amplification has to assume."""
-
-    NONE = "none"
-    STRATEGY_A = "strategy-a"
-    STRATEGY_B = "strategy-b"
-    STRATEGY_B_STORAGE = "strategy-b-storage"
-    UNLIMITED = "unlimited"
-
-    @classmethod
-    def from_string(cls, raw: str) -> "EveModel":
-        for model in cls:
-            if model.value == raw.lower():
-                return model
-        raise ValueError(f"unknown eve model {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface and config handling."""
+import contextlib
+import io
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
 
 from qkd_eve_lab import config
 from qkd_eve_lab.cli import main
@@ -13,6 +19,7 @@ from qkd_eve_lab.config import (
     load_settings,
     parse_config_text,
 )
+from qkd_eve_lab.core_stats import BasisMode, EveModel
 
 DATA = Path(__file__).parent / "data"
 
@@ -304,3 +311,163 @@ class TestGoldenOutput:
         rows = [line for line in out.read_bytes().splitlines(keepends=True)
                 if not line.startswith(b"#")]
         assert b"".join(rows) == (DATA / golden).read_bytes()
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(Settings)}
+_BOUNDED_KEYS = sorted(key for key, f in _FIELDS.items() if f.metadata["bounds"])
+
+
+@st.composite
+def _just_outside(draw, key):
+    """A config value beyond one end of the key's declared interval."""
+    bounds = _FIELDS[key].metadata["bounds"]
+    lo, hi = config._ends(bounds)
+    ends = ["lo"] + (["hi"] if math.isfinite(hi) else [])
+    end = draw(st.sampled_from(ends))
+    if config._KEY_SPEC[key][1] is config._parse_int:
+        if end == "lo":
+            value = draw(st.integers(max_value=int(lo) - 1))
+        else:
+            value = draw(st.integers(min_value=int(hi) + (bounds[-1] == "]")))
+    elif end == "lo":
+        value = draw(st.floats(max_value=lo, exclude_max=bounds[0] == "[",
+                               allow_infinity=False))
+    else:
+        value = draw(st.floats(min_value=hi, exclude_min=bounds[-1] == "]",
+                               allow_infinity=False))
+    return f"0.1,{value!r}" if key == "rates.mu_values" else repr(value)
+
+
+def _rejected(argv, key):
+    """Run the CLI, expecting exit 1 and an error that starts with the key."""
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        rc = main(argv)
+    err = stderr.getvalue()
+    assert rc == 1, err
+    assert err.startswith(f"error: {key}: "), err
+    return err
+
+
+class TestKeyTable:
+    def test_each_field_is_one_key_and_no_key_repeats(self):
+        keys = [f.metadata["key"] for f in fields(Settings)]
+        assert len(set(keys)) == len(keys) == len(config._KEY_SPEC)
+        assert [attr for attr, _ in config._KEY_SPEC.values()] == [
+            f.name for f in fields(Settings)
+        ]
+
+    def test_defaults_text_parses_back_to_the_defaults(self):
+        pairs = parse_config_text(default_config_text())
+        assert list(pairs) == list(config._KEY_SPEC)
+        settings = Settings()
+        settings.apply(pairs)
+        for f in fields(Settings):
+            value, default = getattr(settings, f.name), getattr(Settings(), f.name)
+            assert value == default and type(value) is type(default), f.name
+
+    def test_help_lists_every_key_and_its_default(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for line in default_config_text().splitlines():
+            assert line in out
+
+    @given(key=st.sampled_from(sorted(config._KEY_SPEC)),
+           value=st.sampled_from(["nan", "inf", "-inf"]))
+    @hyp_settings(max_examples=100, deadline=None)
+    def test_non_finite_value_names_the_key(self, key, value):
+        _rejected(["strategy-b", "--report", "thresholds", "--set", f"{key}={value}"],
+                  key)
+
+    @given(data=st.data())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_value_just_outside_the_bounds_names_the_key(self, data):
+        key = data.draw(st.sampled_from(_BOUNDED_KEYS))
+        value = data.draw(_just_outside(key))
+        err = _rejected(["strategy-b", "--report", "thresholds",
+                         "--set", f"{key}={value}"], key)
+        assert f"must be in {_FIELDS[key].metadata['bounds']}" in err
+
+    def test_closed_ends_of_the_bounds_build_a_system(self):
+        # the table is no stricter than the parameter dataclasses at its edges
+        edge = Settings(mu=1e-300, nu=1e-300, alpha_ab=0.0, length_ab=0.0,
+                        alpha_e=0.0, bee_line_d=0.0, eta_b=1.0, p_dark=1.0,
+                        qber_opt=0.5, qber_attrib_floor=0.5, f_ec=1.0, n_pulses=1)
+        edge.check_bounds()
+        assert edge.system() is not None
+
+
+class TestBoundsOnEverySubcommand:
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["strategy-a"], ["strategy-b"], ["strategy-b", "--report", "thresholds"],
+        ["rates"], ["montecarlo"], ["verify"],
+    ])
+    def test_zero_workers_exits_one(self, command, tmp_path):
+        out = tmp_path / "out.csv"
+        _rejected(command + ["--out", str(out), "--pulses", "1e3",
+                             "--set", "sweep.d_max=1", "--set", "sim.workers=0"],
+                  "sim.workers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["stats", "--set", "source.mu=-1"], "source.mu"),
+        (["montecarlo", "--set", "eve.model=strategy-b", "--set", "eve.lambda=2"],
+         "eve.lambda"),
+        (["montecarlo", "--set", "sim.seed=-1"], "sim.seed"),
+        (["montecarlo", "--seed", "-1"], "sim.seed"),
+        (["montecarlo", "--set", "eve.attack_fraction=2"], "eve.attack_fraction"),
+        (["stats", "--set", "sim.workers=0"], "sim.workers"),
+        (["stats", "--set", "sweep.step=0"], "sweep.step"),
+        (["stats", "--set", "sweep.d_min=50", "--set", "sweep.d_max=10"], "sweep.d_max"),
+        (["strategy-a", "--set", "sweep.d_max=0"], "sweep.d_max"),
+        (["rates", "--set", "eve.t_e=0.5", "--set", "sweep.d_max=10",
+          "--set", "rates.mu_values=0.1"], "eve.t_e"),
+    ])
+    def test_measured_case_names_its_key(self, argv, key, tmp_path):
+        _rejected(argv + ["--out", str(tmp_path / "out.csv"),
+                          "--set", "sim.pulses=1e4"], key)
+
+
+class TestStrictEnums:
+    @pytest.mark.parametrize("key,cls", [
+        ("protocol.basis_mode", BasisMode), ("eve.model", EveModel),
+    ])
+    def test_unknown_value_lists_the_members(self, key, cls):
+        err = _rejected(["stats", "--set", f"{key}=bogus"], key)
+        assert all(member.value in err for member in cls)
+
+    def test_values_parse_to_the_members(self):
+        settings = load_settings(None, ["protocol.basis_mode=PASSIVE",
+                                        "eve.model=strategy-b-storage"])
+        assert settings.basis_mode is BasisMode.PASSIVE
+        assert settings.eve_model is EveModel.STRATEGY_B_STORAGE
+
+    def test_eve_model_is_still_importable_from_keyrate(self):
+        from qkd_eve_lab.keyrate import EveModel as FromKeyrate
+
+        assert FromKeyrate is EveModel
+
+
+class TestSeeds:
+    def test_large_seed_is_kept_exactly(self):
+        seed = 2**128 - 1
+        assert load_settings(None, [f"sim.seed={seed}"]).seed == seed
+
+    def test_seed_flag_goes_through_the_table(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert main(["montecarlo", "--seed", "9007199254740993", "--pulses", "1e3",
+                     "--out", str(out)]) == 0
+        assert "# sim.seed = 9007199254740993" in out.read_text().splitlines()
+
+
+class TestEveTransmittance:
+    def test_rates_runs_with_t_e_auto(self, tmp_path):
+        assert main(["rates", "--out", str(tmp_path / "r.csv"), "--set", "eve.t_e=auto",
+                     "--set", "sweep.d_max=10", "--set", "sweep.step=10",
+                     "--set", "rates.mu_values=0.1"]) == 0
+
+    def test_strategy_b_still_uses_t_e(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["strategy-b", "--out", str(out), "--set", "eve.t_e=0.5"]) == 0
+        assert "# t_e = 0.500000" in out.read_text().splitlines()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qkd_eve_lab.config import SystemConfig
 from qkd_eve_lab.core_stats import (
     BasisMode,
     ChannelParams,
@@ -290,3 +291,15 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ChannelParams(bee_line_d=100.0, length_ab=60.0)
         assert ChannelParams().t_ab == pytest.approx(transmission(15.0))
+
+    @pytest.mark.parametrize("make,field", [
+        (ChannelParams, "alpha_ab"),
+        (ChannelParams, "length_ab"),
+        (ChannelParams, "alpha_e"),
+        (ChannelParams, "bee_line_d"),
+        (SystemConfig, "f_ec"),
+        (SystemConfig, "n_pulses"),
+    ])
+    def test_nan_is_rejected_when_built_directly(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make(**{field: math.nan})
