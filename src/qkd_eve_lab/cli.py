@@ -154,6 +154,9 @@ def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
 def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
     if args.report == "thresholds":
+        if settings.eve_t_e is not None:
+            raise ConfigError("eve.t_e: the thresholds report derives Eve's gain from "
+                              "channel.alpha_e and channel.bee_line_d; leave it auto")
         g_block = strategy_b.blocking_threshold_db(settings.mu)
         print(f"blocking threshold: gamma=0 feasible for G_t >= {g_block:.2f} dB "
               f"(t_ab <= t_e*mu/4, mu={settings.mu})")

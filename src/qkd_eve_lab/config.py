@@ -71,7 +71,10 @@ def _parse_enum(cls: type[enum.Enum]) -> Callable[[str], enum.Enum]:
 
 
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
+    values = tuple(_parse_float(part) for part in raw.split(",") if part.strip())
+    if not values:
+        raise ConfigError("expected at least one mu, got an empty list")
+    return values
 
 
 def _ends(bounds: str) -> list[float]:
@@ -245,7 +248,11 @@ class Settings:
                 n_pulses=self.n_pulses, monitor_tof=self.monitor_tof,
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            # Past check_bounds only the cross-key checks fail here.  Each
+            # dataclass message starts with the field it rejects: name its key.
+            name = str(exc).split(" ", 1)[0]
+            key = next((k for k, (attr, _) in _KEY_SPEC.items() if attr == name), None)
+            raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
     def as_pairs(self) -> dict[str, str]:
         """Effective configuration as the flat key=value mapping (sorted).

@@ -6,19 +6,22 @@ and the tallies are compared against the analytic expectations with
 binomial z-scores and exact binomial p-values.
 
 Determinism contract: every random decision comes from a counter-based
-Philox stream keyed by the seed, and the streams are laid out over fixed
-blocks of ``BLOCK`` pulses, so a run is bit-for-bit reproducible regardless
-of batch size or worker count.
+Philox stream keyed by (seed, column, block), where a block is ``BLOCK``
+pulses and a column (a ``_COL_*`` id) is one kind of decision, so a run is
+bit-for-bit reproducible regardless of batch size or worker count.  No
+stream is per pulse: a block costs in proportion to its occupied pulses.
 
-* The photon number of each pulse is one uniform from the per-pulse
-  ``_COL_N`` stream, indexed by pulse.
-* Only pulses that can click are sampled further: those carrying at least
-  one photon and those where a detector fires a dark count, or every pulse
-  when strategy A resends vacuum pulses as blind states.  Each other
-  decision column draws one uniform per such active pulse, in pulse order,
-  from its own stream keyed by (seed, column, block).
-* The dark counts of each detector are an i.i.d. Bernoulli(p_dark) process
-  over the block, placed exactly from their own block stream.
+* The pulses with n >= 1 photons, a Bernoulli(1 - e^-mu) process, are
+  placed exactly by geometric gaps from the ``_COL_N`` stream; their photon
+  numbers are zero-truncated Poisson(mu), one uniform each from
+  ``_COL_PHOTONS``.  Each detector's dark counts, a Bernoulli(p_dark)
+  process, are placed the same way from ``_COL_DARK_0`` / ``_COL_DARK_1``.
+* The channel and eavesdropper columns draw one uniform per active pulse,
+  in pulse order: the occupied and dark-count pulses, or the whole block
+  when strategy A resends vacuum pulses as blind states.
+* The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
+  ``_COL_QBER_FLIP``) draw one uniform per pulse, in pulse order, only
+  where a photon reaches Bob's detectors or a detector fires a dark count.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
   of whole blocks; only the last block of a run may be partial.
 """
@@ -44,6 +47,7 @@ BLOCK = 2**16
 
 # Decision columns; each owns an independent counter-based stream.
 _COL_N = 0
+_COL_PHOTONS = 1
 _COL_ALICE_BIT = 2
 _COL_EVE_SPLIT = 3
 _COL_EVE_AUX = 4
@@ -59,34 +63,18 @@ _COL_DARK_1 = 13
 _COL_EVE_INTERCEPT = 14
 
 
-def _column_uniforms(seed: int, column: int, start: int, count: int) -> np.ndarray:
-    """Uniforms of a per-pulse stream over pulses [start, start + count).
-
-    Philox counters move in blocks of four 64-bit words, so ``start`` must be
-    a multiple of four.  The counter runs in its first word from ``start // 4``
-    and leaves the last word at 0.
-    """
-    if start % 4:
-        raise ValueError("column streams must start on a 4-pulse boundary")
-    bitgen = np.random.Philox(key=seed, counter=[start // 4, 0, column, 0])
-    return np.random.Generator(bitgen).random(count)
-
-
 def _block_stream(seed: int, column: int, block: int) -> np.random.Generator:
-    """Stream of one decision column within one block of pulses.
-
-    Its last counter word is 1, so it never meets a per-pulse stream.
-    """
+    """Stream of one decision column within one block of pulses."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, block, column, 1]))
 
 
-def _dark_positions(seed: int, column: int, block: int, length: int, p: float) -> np.ndarray:
-    """Sorted pulse indices in [0, length) of ``block`` where a detector
-    fires a dark count, each pulse independently with probability ``p``.
+def _bernoulli_positions(seed: int, column: int, block: int, length: int, p: float) -> np.ndarray:
+    """Sorted indices in [0, length) of the pulses of ``block`` with an
+    event (photons, a dark count), each independently with probability ``p``.
 
-    The gaps between dark counts are geometric and drawn exactly by
-    inversion from the block stream of ``column``, in batches sized to the
-    expected remaining count, until one passes the end of the block.
+    The gaps between events are geometric and drawn exactly by inversion
+    from the block stream of ``column``, in batches sized to the expected
+    remaining count, until one passes the end of the block (Devroye 1986).
     """
     if not p > 0.0:
         return np.empty(0, dtype=np.int64)
@@ -95,7 +83,7 @@ def _dark_positions(seed: int, column: int, block: int, length: int, p: float) -
     rng = _block_stream(seed, column, block)
     log_q = math.log1p(-p)
     parts = []
-    last = -1.0  # index of the latest dark count drawn so far
+    last = -1.0  # index of the latest event drawn so far
     while last < length:
         size = math.ceil((length - 1 - last) * p) + 1
         gaps = np.floor(np.log1p(-rng.random(size)) / log_q) + 1.0
@@ -107,13 +95,10 @@ def _dark_positions(seed: int, column: int, block: int, length: int, p: float) -
 
 def _binomial_cdf_table(p: float) -> np.ndarray:
     """Rows n = 0..PHOTON_CAP of the Binomial(n, p) CDF."""
-    table = np.ones((PHOTON_CAP + 1, PHOTON_CAP + 1))
+    table = np.ones((PHOTON_CAP + 1, PHOTON_CAP + 1))  # 1 past k = n
     for n in range(PHOTON_CAP + 1):
-        probs = [
-            math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)
-        ]
+        probs = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
         table[n, : n + 1] = np.cumsum(probs)
-        table[n, n + 1 :] = 1.0
     return table
 
 
@@ -295,7 +280,8 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
 class _Tables:
     """Inverse-CDF tables of one configuration."""
 
-    photons: np.ndarray  # Poisson(mu) CDF over n = 0..PHOTON_CAP
+    occupied: float  # P(n >= 1) = 1 - e^-mu
+    photons: np.ndarray  # zero-truncated Poisson(mu) CDF over n = 0..PHOTON_CAP
     half: np.ndarray  # Binomial(n, 1/2)
     channel: np.ndarray  # Binomial(n, t): t_ab, or Eve's link t_e under strategy B
     tap: np.ndarray | None  # Binomial(n, lambda), strategy B only
@@ -305,9 +291,13 @@ class _Tables:
     def build(cls, cfg: SimConfig) -> "_Tables":
         system = cfg.system
         beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
+        occupied = -math.expm1(-system.source.mu)
+        # The tail above the photon cap is < 1e-19 for mu <= 1.
+        pmf = poisson_pmf_array(system.source.mu, PHOTON_CAP)
+        pmf[0] = 0.0
         return cls(
-            # The tail above the photon cap is < 1e-19 for mu <= 1.
-            photons=np.cumsum(poisson_pmf_array(system.source.mu, PHOTON_CAP)),
+            occupied=occupied,
+            photons=np.cumsum(pmf) / occupied,
             half=_binomial_cdf_table(0.5),
             channel=_binomial_cdf_table(
                 cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance)
@@ -315,6 +305,15 @@ class _Tables:
             tap=_binomial_cdf_table(cfg.attack.lam) if beamsplit else None,
             detect=_binomial_cdf_table(system.detector.eta_b),
         )
+
+
+def _occupied_pulses(seed: int, block: int, length: int,
+                     tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices in [0, length) of the occupied pulses of ``block`` and
+    their photon numbers, by inversion of ``tables.photons``, one uniform each."""
+    at = _bernoulli_positions(seed, _COL_N, block, length, tables.occupied)
+    u = _block_stream(seed, _COL_PHOTONS, block).random(at.size)
+    return at, np.minimum(np.searchsorted(tables.photons, u, side="right"), PHOTON_CAP)
 
 
 def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
@@ -326,32 +325,30 @@ def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
 def _simulate_block(
     cfg: SimConfig, policy: _StrategyAPolicy | None, tables: _Tables, block: int
 ) -> SimResult:
-    start = block * BLOCK
-    count = min(BLOCK, cfg.n_pulses - start)
+    count = min(BLOCK, cfg.n_pulses - block * BLOCK)
     system: SystemConfig = cfg.system
     seed = cfg.seed
 
-    u_n = _column_uniforms(seed, _COL_N, start, count)
-    dark_at = [
-        _dark_positions(seed, column, block, count, system.detector.p_dark)
-        for column in (_COL_DARK_0, _COL_DARK_1)
-    ]
+    occupied, n_occupied = _occupied_pulses(seed, block, count, tables)
+    dark_at = [_bernoulli_positions(seed, column, block, count, system.detector.p_dark)
+               for column in (_COL_DARK_0, _COL_DARK_1)]
     if policy is not None and policy.blind_prob > 0:
         # Vacuum pulses are resent as blind states, so any pulse may click.
         active = np.arange(count)
+    elif dark_at[0].size or dark_at[1].size:
+        active = np.sort(np.concatenate([occupied, *dark_at]))
+        active = active[np.diff(active, prepend=-1) > 0]
     else:
-        can_click = u_n >= tables.photons[0]  # n >= 1
-        for at in dark_at:
-            can_click[at] = True
-        active = np.flatnonzero(can_click)
+        active = occupied
     m = active.size
 
-    def uniforms(column: int) -> np.ndarray:
-        return _block_stream(seed, column, block).random(m)
+    def uniforms(column: int, size: int = m) -> np.ndarray:
+        return _block_stream(seed, column, block).random(size)
 
-    n = np.minimum(
-        np.searchsorted(tables.photons, u_n[active], side="right"), PHOTON_CAP
-    ).astype(np.int64)
+    n = n_occupied
+    if m > occupied.size:
+        n = np.zeros(m, dtype=np.int64)
+        n[np.searchsorted(active, occupied)] = n_occupied
     dark0, dark1 = np.zeros((2, m), dtype=bool)
     dark0[np.searchsorted(active, dark_at[0])] = True
     dark1[np.searchsorted(active, dark_at[1])] = True
@@ -416,13 +413,16 @@ def _simulate_block(
     else:
         arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
 
-    # Receiver: active basis choice, per-photon detection, dark counts on
-    # the two gated detectors.
-    bob_right = uniforms(_COL_BOB_BASIS) < 0.5  # his basis equals Alice's
-    k_det = _binomial_from_u(arrivals, uniforms(_COL_BOB_DETECT), tables.detect)
-    k_split0 = _binomial_from_u(k_det, uniforms(_COL_BOB_SPLIT), tables.half)
+    # Receiver, only where a photon or a dark count arrives: no other pulse can click.
+    at = np.flatnonzero((arrivals > 0) | dark0 | dark1)
+    r = at.size
+    arrivals, dark0, dark1 = arrivals[at], dark0[at], dark1[at]
+    resend_error, eve_knows = resend_error[at], eve_knows[at]
+    bob_right = uniforms(_COL_BOB_BASIS, r) < 0.5  # his basis equals Alice's
+    k_det = _binomial_from_u(arrivals, uniforms(_COL_BOB_DETECT, r), tables.detect)
+    k_split0 = _binomial_from_u(k_det, uniforms(_COL_BOB_SPLIT, r), tables.half)
 
-    alice_bit = uniforms(_COL_ALICE_BIT) < 0.5
+    alice_bit = uniforms(_COL_ALICE_BIT, r) < 0.5
     received_bit = alice_bit ^ resend_error
 
     # Signal photons per detector of the chosen basis.
@@ -437,7 +437,7 @@ def _simulate_block(
     sifted = bob_right & any_click & ~double
     bob_bit = click1  # exactly one detector clicked on sifted pulses
     if system.qber_opt > 0:
-        bob_bit = bob_bit ^ (uniforms(_COL_QBER_FLIP) < system.qber_opt)
+        bob_bit = bob_bit ^ (uniforms(_COL_QBER_FLIP, r) < system.qber_opt)
     errors = sifted & (bob_bit != alice_bit)
 
     return SimResult(

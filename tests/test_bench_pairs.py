@@ -1,0 +1,47 @@
+"""The pair runner's bookkeeping, with the benchmark runs faked."""
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_summary_quartiles():
+    s = bench_pairs.summary([4.0, 1.0, 3.0, 2.0, 5.0])
+    assert (s["q1"], s["median"], s["q3"]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.summary([7.0])["median"] == 7.0
+
+
+def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(tree, args):
+        side = tree.name
+        seed = int(args[args.index("--seed") + 1])
+        calls.append((side, seed))
+        speed = 2.0 if side == "change" else 1.0
+        if seed == 3:
+            speed = 0.5  # a tie: the change does not win this pair
+        return {"environment": {"seed": seed}, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0 / speed, "unit": "s"},
+                            "mpulses_per_s": {"value": speed, "unit": "Mpulses/s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"},
+                                         {"name": "mpulses_per_s", "better": "higher"}]}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--seed", "0",
+                             "--pairs", "4", "--out", str(out)]) == 0
+    assert calls == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
+                     ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert report["change_wins"] == {"wall_s": 3, "mpulses_per_s": 3}
+    assert report["parent"]["wall_s"]["values"] == [1.0, 1.0, 1.0, 2.0]
+    assert report["median_ratio"]["mpulses_per_s"] == 2.0

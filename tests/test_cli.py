@@ -471,3 +471,26 @@ class TestEveTransmittance:
         out = tmp_path / "b.csv"
         assert main(["strategy-b", "--out", str(out), "--set", "eve.t_e=0.5"]) == 0
         assert "# t_e = 0.500000" in out.read_text().splitlines()
+
+    def test_thresholds_reject_a_set_t_e(self):
+        _rejected(["strategy-b", "--report", "thresholds", "--set", "eve.t_e=0.5"],
+                  "eve.t_e")
+
+
+class TestCrossKeyChecks:
+    @pytest.mark.parametrize("argv,key", [
+        (["stats", "--set", "channel.alpha_e=0.3"], "channel.alpha_e"),
+        (["stats", "--set", "channel.bee_line_d=100"], "channel.bee_line_d"),
+    ])
+    def test_cross_key_rejection_names_its_key(self, argv, key, tmp_path):
+        out = tmp_path / "out.csv"
+        _rejected(argv + ["--out", str(out)], key)
+        assert not out.exists()
+
+
+class TestRatesMuValues:
+    def test_empty_list_exits_one(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        _rejected(["rates", "--out", str(out), "--set", "rates.mu_values="],
+                  "rates.mu_values")
+        assert not list(tmp_path.iterdir())

@@ -4,6 +4,7 @@ The fast tier runs a few hundred thousand to a few million pulses; the
 statistical assertions are 3-sigma, so they scale with whatever sample size
 is used.  The full 1e8 oracle run lives in the acceptance suite.
 """
+import dataclasses
 import math
 import os
 
@@ -11,25 +12,34 @@ import numpy as np
 import pytest
 
 from qkd_eve_lab.config import ConfigError, SystemConfig
-from qkd_eve_lab.core_stats import BasisMode, ChannelParams, DetectorParams, SourceParams
+from qkd_eve_lab.core_stats import (
+    BasisMode,
+    ChannelParams,
+    DetectorParams,
+    SourceParams,
+    poisson_pmf_array,
+)
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
     _COL_DARK_0,
     _COL_DARK_1,
+    _COL_N,
+    _COL_PHOTONS,
     BLOCK,
     FAMILY_ALPHA,
     PHOTON_CAP,
     Report,
     SimConfig,
     SimResult,
+    _Tables,
     _block_stream,
-    _column_uniforms,
-    _dark_positions,
+    _occupied_pulses,
     binomial_p_value,
     compare,
     holm_rejections,
     simulate,
 )
+from qkd_eve_lab.montecarlo import _bernoulli_positions as _dark_positions
 from qkd_eve_lab.strategy_a import CASE_LABELS, INTERMEDIATE_STATE_QBER, allocate
 from qkd_eve_lab.strategy_b import BeamsplitAttack, sifted_info_model, solve_gamma
 from qkd_eve_lab.verify import oracle_cases, oracle_suite
@@ -46,21 +56,62 @@ def make_system(mu=0.1, length=60.0, eta=0.1, p_dark=0.0, qber_opt=0.0):
     )
 
 
-class TestColumnStreams:
-    def test_pulse_indexed_regardless_of_chunking(self):
-        whole = _column_uniforms(123, 5, 0, 64)
-        left = _column_uniforms(123, 5, 0, 28)
-        right = _column_uniforms(123, 5, 28, 36)
-        assert np.array_equal(np.concatenate([left, right]), whole)
-
+class TestBlockStreams:
     def test_columns_are_distinct(self):
-        a = _column_uniforms(123, 0, 0, 32)
-        b = _column_uniforms(123, 1, 0, 32)
-        assert not np.array_equal(a, b)
+        columns = [_COL_N, _COL_PHOTONS, _COL_DARK_0, _COL_DARK_1]
+        draws = [_block_stream(123, column, 0).random(32) for column in columns]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
 
-    def test_misaligned_start_rejected(self):
-        with pytest.raises(ValueError):
-            _column_uniforms(123, 0, 2, 8)
+    def test_blocks_are_distinct(self):
+        draws = [_block_stream(123, _COL_N, block).random(32) for block in range(4)]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
+
+    def test_same_key_same_draws(self):
+        a = _block_stream(123, _COL_PHOTONS, 7).random(32)
+        assert np.array_equal(a, _block_stream(123, _COL_PHOTONS, 7).random(32))
+        assert not np.array_equal(a, _block_stream(124, _COL_PHOTONS, 7).random(32))
+
+
+class TestPhotonStatistics:
+    """Occupied pulses placed by geometric gaps, with zero-truncated photon
+    numbers, reproduce Poisson(mu) in each of n = 0, 1, 2 and >= 3."""
+
+    BLOCKS = 64
+
+    def _holm_rejected(self, mu, tables):
+        counts = np.zeros(4, dtype=np.int64)
+        for block in range(self.BLOCKS):
+            at, n = _occupied_pulses(2024, block, BLOCK, tables)
+            assert at.size == n.size
+            counts += np.bincount(np.minimum(n, 3), minlength=4)
+            counts[0] += BLOCK - at.size
+        pmf = poisson_pmf_array(mu, 2)
+        expected = [*pmf, 1.0 - pmf.sum()]
+        trials = self.BLOCKS * BLOCK
+        assert counts.sum() == trials
+        p_values = [binomial_p_value(int(c), trials, e) for c, e in zip(counts, expected)]
+        return holm_rejections(p_values, 1e-4)
+
+    @staticmethod
+    def _tables(mu):
+        cfg = SimConfig(system=make_system(mu=mu), eve_model=EveModel.NONE)
+        return _Tables.build(cfg)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5])
+    def test_poisson_cells(self, mu):
+        assert self._holm_rejected(mu, self._tables(mu)) == []
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5])
+    def test_untruncated_table_is_rejected(self, mu):
+        # Planted defect: the full Poisson CDF, so an occupied pulse can
+        # draw n = 0 and the vacuum cell overfills.
+        tables = self._tables(mu)
+        planted = np.cumsum(poisson_pmf_array(mu, PHOTON_CAP))
+        assert 0 in self._holm_rejected(mu, dataclasses.replace(tables, photons=planted))
 
 
 class TestDarkPositions:
