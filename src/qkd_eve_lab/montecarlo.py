@@ -9,7 +9,7 @@ Determinism contract: every random decision comes from a counter-based
 Philox stream keyed by (seed, column, block), where a block is ``BLOCK``
 pulses and a column (a ``_COL_*`` id) is one kind of decision, so a run is
 bit-for-bit reproducible regardless of batch size or worker count.  No
-stream is per pulse: a block costs in proportion to its occupied pulses.
+stream is per pulse: cost scales with the pulses that carry light or click.
 
 * The pulses with n >= 1 photons, a Bernoulli(1 - e^-mu) process, are
   placed exactly by geometric gaps from the ``_COL_N`` stream; their photon

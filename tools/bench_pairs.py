@@ -84,8 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="run length; default run_seconds of BENCHMARK.json")
     parser.add_argument("--traced", action="store_true",
                         help="also one traced run per tree, for the layer metrics")
     parser.add_argument("--out", type=Path, help="JSON file; default standard output")
@@ -96,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in contract["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else contract["run_seconds"]
+    seconds = contract["run_seconds"]
     report = {"command": "python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
               "pairs": args.pairs, "workloads": {}}
