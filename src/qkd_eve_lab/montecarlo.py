@@ -24,9 +24,15 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   where a photon reaches Bob's detectors or a detector fires a dark count.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
   of whole blocks; only the last block of a run may be partial.
+* Streams are repositioned, not rebuilt.  A chunk holds one Philox
+  generator and, for each draw, resets its counter to (0, block, column, 1),
+  which gives the draws of a stream built afresh at that counter (Salmon et
+  al., SC'11).  A stream is valid only until the next reset.  Every draw
+  lands in one buffer of the chunk, so it is used before the next draw.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,59 +69,108 @@ _COL_DARK_1 = 13
 _COL_EVE_INTERCEPT = 14
 
 
+class _Streams:
+    """The block streams of one seed, all served by one Philox generator.
+
+    ``stream`` repositions the generator at the start of a stream by
+    resetting its counter, so a stream is valid only until the next reset.
+    Draws land in ``buffer``, one array reused by every draw, so what
+    ``uniforms`` returns is valid only until the next draw.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._bitgen = np.random.Philox(key=seed)
+        self._state = self._bitgen.state  # counter zero, output buffer empty
+        self._counter = self._state["state"]["counter"]
+        self._rng = np.random.Generator(self._bitgen)
+        self.buffer = np.empty(BLOCK + 1)
+
+    def stream(self, column: int, block: int) -> np.random.Generator:
+        """The stream of one decision column within one block of pulses."""
+        self._counter[:] = (0, block, column, 1)
+        self._bitgen.state = self._state
+        return self._rng
+
+    def uniforms(self, column: int, block: int, size: int) -> np.ndarray:
+        """The first ``size`` uniforms of a stream."""
+        return self.stream(column, block).random(out=self.buffer[:size])
+
+
 def _block_stream(seed: int, column: int, block: int) -> np.random.Generator:
     """Stream of one decision column within one block of pulses."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, block, column, 1]))
+    return _Streams(seed).stream(column, block)
 
 
-def _bernoulli_positions(seed: int, column: int, block: int, length: int, p: float) -> np.ndarray:
+def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int,
+                         p: float) -> np.ndarray:
     """Sorted indices in [0, length) of the pulses of ``block`` with an
     event (photons, a dark count), each independently with probability ``p``.
 
     The gaps between events are geometric and drawn exactly by inversion
     from the block stream of ``column``, in batches sized to the expected
     remaining count, until one passes the end of the block (Devroye 1986).
+    The batches hold at most ``length + 1`` gaps in all: every batch but the
+    last ends inside the block, and the last has at most one gap per pulse
+    left plus one.  They are summed in place in ``streams.buffer``.
     """
     if not p > 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(length)
-    rng = _block_stream(seed, column, block)
+    rng = streams.stream(column, block)
+    buffer = streams.buffer
     log_q = math.log1p(-p)
-    parts = []
+    end = 0
     last = -1.0  # index of the latest event drawn so far
     while last < length:
         size = math.ceil((length - 1 - last) * p) + 1
-        gaps = np.floor(np.log1p(-rng.random(size)) / log_q) + 1.0
-        parts.append(last + np.cumsum(gaps))
-        last = parts[-1][-1]
-    positions = np.concatenate(parts)
-    return positions[positions < length].astype(np.int64)
+        x = rng.random(out=buffer[end:end + size])
+        np.log1p(np.negative(x, out=x), out=x)
+        np.floor(np.divide(x, log_q, out=x), out=x)
+        x += 1.0  # the gaps
+        np.cumsum(x, out=x)
+        x += last
+        last = x[-1]
+        end += size
+    positions = buffer[:end]
+    return positions[: np.searchsorted(positions, length)].astype(np.int64)
 
 
+@functools.lru_cache(maxsize=64)
 def _binomial_cdf_table(p: float) -> np.ndarray:
-    """Rows n = 0..PHOTON_CAP of the Binomial(n, p) CDF."""
+    """Rows n = 0..PHOTON_CAP of the Binomial(n, p) CDF, built once per
+    ``p`` and read-only."""
     table = np.ones((PHOTON_CAP + 1, PHOTON_CAP + 1))  # 1 past k = n
     for n in range(PHOTON_CAP + 1):
         probs = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
         table[n, : n + 1] = np.cumsum(probs)
+    table.flags.writeable = False
     return table
 
 
 def _binomial_from_u(
     n: np.ndarray, u: np.ndarray, cdf_table: np.ndarray
 ) -> np.ndarray:
-    """Inverse-CDF binomial: one uniform per draw, vectorized over the
-    non-zero photon numbers present; n = 0 draws 0."""
-    out = np.zeros(n.shape, dtype=np.int64)
-    where = np.flatnonzero(n)
-    n_nz = n[where]
-    u_nz = u[where]
-    for nv in np.flatnonzero(np.bincount(n_nz)):
-        mask = n_nz == nv
-        k = np.searchsorted(cdf_table[nv], u_nz[mask], side="right")
-        out[where[mask]] = np.minimum(k, nv)
-    return out
+    """Inverse-CDF binomial, one uniform u in [0, 1) per draw; n = 0 draws 0.
+
+    A sequential search up each draw's row n: k counts the entries of the
+    row below column n that are at most u, which is what
+    ``searchsorted(row, u, side="right")`` capped at n gives.  A row is
+    non-decreasing up to column n, so a draw stops at its first entry above
+    u, and each pass gathers only the draws still counting.  Row 0 is 1.0,
+    above every u.
+    """
+    hit = cdf_table[:, 0].take(n) <= u
+    k = hit.astype(np.int64)
+    at = np.flatnonzero(hit & (n > 1))
+    j = 1
+    while at.size:
+        n_at = n[at]
+        hit = cdf_table[:, j].take(n_at) <= u[at]
+        k[at] += hit
+        j += 1
+        at = at[hit & (n_at > j)]
+    return k
 
 
 @dataclass
@@ -307,12 +362,12 @@ class _Tables:
         )
 
 
-def _occupied_pulses(seed: int, block: int, length: int,
+def _occupied_pulses(streams: _Streams, block: int, length: int,
                      tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices in [0, length) of the occupied pulses of ``block`` and
     their photon numbers, by inversion of ``tables.photons``, one uniform each."""
-    at = _bernoulli_positions(seed, _COL_N, block, length, tables.occupied)
-    u = _block_stream(seed, _COL_PHOTONS, block).random(at.size)
+    at = _bernoulli_positions(streams, _COL_N, block, length, tables.occupied)
+    u = streams.uniforms(_COL_PHOTONS, block, at.size)
     return at, np.minimum(np.searchsorted(tables.photons, u, side="right"), PHOTON_CAP)
 
 
@@ -323,14 +378,14 @@ def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
 
 
 def _simulate_block(
-    cfg: SimConfig, policy: _StrategyAPolicy | None, tables: _Tables, block: int
+    cfg: SimConfig, policy: _StrategyAPolicy | None, tables: _Tables,
+    streams: _Streams, block: int,
 ) -> SimResult:
     count = min(BLOCK, cfg.n_pulses - block * BLOCK)
     system: SystemConfig = cfg.system
-    seed = cfg.seed
 
-    occupied, n_occupied = _occupied_pulses(seed, block, count, tables)
-    dark_at = [_bernoulli_positions(seed, column, block, count, system.detector.p_dark)
+    occupied, n_occupied = _occupied_pulses(streams, block, count, tables)
+    dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
     if policy is not None and policy.blind_prob > 0:
         # Vacuum pulses are resent as blind states, so any pulse may click.
@@ -343,7 +398,7 @@ def _simulate_block(
     m = active.size
 
     def uniforms(column: int, size: int = m) -> np.ndarray:
-        return _block_stream(seed, column, block).random(size)
+        return streams.uniforms(column, block, size)
 
     n = n_occupied
     if m > occupied.size:
@@ -454,9 +509,10 @@ def _simulate_block(
 def _simulate_chunk(args: tuple) -> SimResult:
     cfg, policy, start, stop = args
     tables = _Tables.build(cfg)
+    streams = _Streams(cfg.seed)
     total = SimResult()
     for block in range(start // BLOCK, -(-stop // BLOCK)):
-        total = total + _simulate_block(cfg, policy, tables, block)
+        total = total + _simulate_block(cfg, policy, tables, streams, block)
     return total
 
 

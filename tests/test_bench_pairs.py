@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -45,3 +47,46 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     assert report["change_wins"] == {"wall_s": 3, "mpulses_per_s": 3}
     assert report["parent"]["wall_s"]["values"] == [1.0, 1.0, 1.0, 2.0]
     assert report["median_ratio"]["mpulses_per_s"] == 2.0
+
+
+def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(tree, args):
+        side = tree.name
+        seed = int(args[args.index("--seed") + 1])
+        calls.append((side, seed, args[args.index("--trace") + 1]))
+        if args[args.index("--trace") + 1] == "0":
+            metrics = {"wall_s": {"value": 1.0, "unit": "s"}}
+        else:
+            rate = (10.0 if side == "change" else 5.0) + seed  # seeds 0, 1, 2
+            metrics = {"montecarlo.mpulses_per_s.dense": {"value": rate, "unit": "Mpulses/s"},
+                       "montecarlo.photon_fraction.mc_dense": {"value": 0.3, "unit": "fraction"},
+                       "verify.checks": {"value": 23, "unit": "count"}}
+        return {"environment": {}, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--seed", "0",
+                             "--pairs", "1", "--traced", "3", "--out", str(out)]) == 0
+    assert calls[:6] == [("parent", 0, "1"), ("change", 0, "1"), ("change", 1, "1"),
+                         ("parent", 1, "1"), ("parent", 2, "1"), ("change", 2, "1")]
+    traced = json.loads(out.read_text())["traced"]
+    assert traced["runs"] == 3 and traced["seeds"] == [0, 1, 2]
+    assert set(traced["change"]) == {"montecarlo.mpulses_per_s.dense",
+                                     "montecarlo.photon_fraction.mc_dense"}
+    rates = traced["change"]["montecarlo.mpulses_per_s.dense"]
+    assert (rates["median"], rates["values"]) == (11.0, [10.0, 11.0, 12.0])
+    assert traced["parent"]["montecarlo.mpulses_per_s.dense"]["median"] == 6.0
+
+
+def test_negative_traced_count_is_rejected(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "w", "--seed", "0", "--traced", "-1"])

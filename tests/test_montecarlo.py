@@ -7,9 +7,15 @@ is used.  The full 1e8 oracle run lives in the acceptance suite.
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
+
+from qkd_eve_lab import montecarlo
 
 from qkd_eve_lab.config import ConfigError, SystemConfig
 from qkd_eve_lab.core_stats import (
@@ -31,20 +37,27 @@ from qkd_eve_lab.montecarlo import (
     Report,
     SimConfig,
     SimResult,
+    _Streams,
     _Tables,
+    _binomial_cdf_table,
+    _binomial_from_u,
     _block_stream,
-    _occupied_pulses,
     binomial_p_value,
     compare,
     holm_rejections,
     simulate,
 )
-from qkd_eve_lab.montecarlo import _bernoulli_positions as _dark_positions
+from qkd_eve_lab.montecarlo import _bernoulli_positions, _occupied_pulses
 from qkd_eve_lab.strategy_a import CASE_LABELS, INTERMEDIATE_STATE_QBER, allocate
 from qkd_eve_lab.strategy_b import BeamsplitAttack, sifted_info_model, solve_gamma
 from qkd_eve_lab.verify import oracle_cases, oracle_suite
 
 N_FAST = 2_000_000
+DATA = Path(__file__).parent / "data"
+
+
+def _dark_positions(seed, column, block, length, p):
+    return _bernoulli_positions(_Streams(seed), column, block, length, p)
 
 
 def make_system(mu=0.1, length=60.0, eta=0.1, p_dark=0.0, qber_opt=0.0):
@@ -72,6 +85,124 @@ class TestBlockStreams:
         assert not np.array_equal(a, _block_stream(124, _COL_PHOTONS, 7).random(32))
 
 
+COLUMNS = sorted(v for k, v in vars(montecarlo).items() if k.startswith("_COL_"))
+
+
+class TestStreamReset:
+    """One generator repositioned by a counter reset gives the draws of a
+    freshly built stream, whatever was drawn from it before."""
+
+    SEED = 2**128 - 159
+
+    @staticmethod
+    def _fresh(seed, column, block, size):
+        bitgen = np.random.Philox(key=seed, counter=[0, block, column, 1])
+        return np.random.Generator(bitgen).random(size)
+
+    def test_every_column_and_block(self):
+        assert COLUMNS == list(range(15))
+        streams = _Streams(self.SEED)
+        for column in COLUMNS:
+            for block in (0, 1, 2**20):
+                expected = self._fresh(self.SEED, column, block, 40)
+                assert np.array_equal(streams.stream(column, block).random(40), expected)
+
+    def test_after_a_partial_draw_on_another_column(self):
+        streams = _Streams(self.SEED)
+        for column in COLUMNS:
+            for block in (0, 1, 2**20):
+                other = (column + 1) % len(COLUMNS)
+                streams.stream(other, block).random(3)  # leaves Philox output buffered
+                expected = self._fresh(self.SEED, column, block, 40)
+                assert np.array_equal(streams.uniforms(column, block, 40), expected)
+                streams.uniforms(other, block, 5)
+                assert np.array_equal(streams.stream(column, block).random(40), expected)
+
+    def test_draws_reuse_one_buffer(self):
+        streams = _Streams(self.SEED)
+        a = streams.uniforms(_COL_N, 0, 10)
+        assert np.array_equal(a, self._fresh(self.SEED, _COL_N, 0, 10))
+        assert np.shares_memory(a, streams.uniforms(_COL_PHOTONS, 3, BLOCK))
+
+
+def _binomial_reference(n, u, cdf_table):
+    """The searchsorted inverse CDF, one pass per photon number present."""
+    out = np.zeros(n.shape, dtype=np.int64)
+    where = np.flatnonzero(n)
+    n_nz = n[where]
+    u_nz = u[where]
+    for nv in np.flatnonzero(np.bincount(n_nz)):
+        mask = n_nz == nv
+        k = np.searchsorted(cdf_table[nv], u_nz[mask], side="right")
+        out[where[mask]] = np.minimum(k, nv)
+    return out
+
+
+def _fresh_binomial_table(p):
+    table = np.ones((PHOTON_CAP + 1, PHOTON_CAP + 1))
+    for n in range(PHOTON_CAP + 1):
+        probs = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        table[n, : n + 1] = np.cumsum(probs)
+    return table
+
+
+class TestBinomialFromU:
+    """The sequential search draws what searchsorted on the row draws, for
+    every u in [0, 1)."""
+
+    @given(data=st.data())
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted(self, data):
+        p = data.draw(st.sampled_from([0.1, 0.3, 0.5]) | st.floats(0.0, 1.0))
+        table = _binomial_cdf_table(p)
+        entries = table[table < 1.0].tolist()
+        u_values = st.floats(0.0, 1.0, exclude_max=True)
+        if entries:  # on a table entry, or the float just below one
+            u_values |= st.sampled_from(entries)
+            u_values |= st.sampled_from(entries).map(lambda e: float(np.nextafter(e, 0.0)))
+        size = data.draw(st.integers(0, 60))
+        n = np.array(data.draw(st.lists(st.integers(0, PHOTON_CAP), min_size=size,
+                                        max_size=size)), dtype=np.int64)
+        u = np.array(data.draw(st.lists(u_values, min_size=size, max_size=size)),
+                     dtype=np.float64)
+        assert np.array_equal(_binomial_from_u(n, u, table), _binomial_reference(n, u, table))
+
+    @pytest.mark.parametrize("p, n", [(0.1, 3), (0.3, 2)])
+    def test_row_ending_off_one(self, p, n):
+        # Rounding ends row 3 at p = 0.1 just above 1.0, so the row is not
+        # monotone past column 3; at p = 0.3 row 2 ends just below 1.0.
+        table = _binomial_cdf_table(p)
+        assert table[n, n] != 1.0
+        u = np.array([*table[n, : n + 1], *np.nextafter(table[n, : n + 1], 0.0),
+                      np.nextafter(1.0, 0.0), 0.0])
+        u = u[u < 1.0]
+        n_arr = np.full(u.size, n, dtype=np.int64)
+        assert np.array_equal(_binomial_from_u(n_arr, u, table),
+                              _binomial_reference(n_arr, u, table))
+
+    def test_vacuum_and_empty(self):
+        table = _binomial_cdf_table(0.5)
+        u = np.random.default_rng(3).random(1000)
+        assert not _binomial_from_u(np.zeros(1000, dtype=np.int64), u, table).any()
+        empty = _binomial_from_u(np.zeros(0, dtype=np.int64), np.zeros(0), table)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+
+    def test_every_photon_number(self):
+        n = np.repeat(np.arange(PHOTON_CAP + 1), 500)
+        u = np.random.default_rng(4).random(n.size)
+        for p in (0.0, 0.07, 0.5, 0.93, 1.0):
+            table = _binomial_cdf_table(p)
+            assert np.array_equal(_binomial_from_u(n, u, table), _binomial_reference(n, u, table))
+
+    def test_table_is_built_once_and_read_only(self):
+        table = _binomial_cdf_table(0.37)
+        assert _binomial_cdf_table(0.37) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+        assert table.tobytes() == _fresh_binomial_table(0.37).tobytes()
+
+
 class TestPhotonStatistics:
     """Occupied pulses placed by geometric gaps, with zero-truncated photon
     numbers, reproduce Poisson(mu) in each of n = 0, 1, 2 and >= 3."""
@@ -80,8 +211,9 @@ class TestPhotonStatistics:
 
     def _holm_rejected(self, mu, tables):
         counts = np.zeros(4, dtype=np.int64)
+        streams = _Streams(2024)
         for block in range(self.BLOCKS):
-            at, n = _occupied_pulses(2024, block, BLOCK, tables)
+            at, n = _occupied_pulses(streams, block, BLOCK, tables)
             assert at.size == n.size
             counts += np.bincount(np.minimum(n, 3), minlength=4)
             counts[0] += BLOCK - at.size
@@ -174,6 +306,44 @@ def _block_edge_kwargs(case):
     gamma = solve_gamma(0.1, system.t_ab(20.0), 0.2, t_e)
     return dict(system=system, eve_model=EveModel.STRATEGY_B, distance_km=20.0,
                 attack=BeamsplitAttack(lam=0.2, gamma=gamma, t_e=t_e))
+
+
+def _golden_kwargs(case):
+    """Small fixed-seed runs whose tallies are stored under tests/data: no
+    Eve with dark counts, strategy A blind-filling at 0 km (dense), strategy
+    A with attack_fraction < 1 (the intercept and channel columns) and
+    strategy B with a shutter."""
+    system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
+    if case == "none_dark":
+        return dict(system=system, eve_model=EveModel.NONE, distance_km=20.0)
+    if case == "strategy_a_0km":
+        return dict(system=make_system(mu=0.2, length=0.0, p_dark=1e-3, qber_opt=0.005),
+                    eve_model=EveModel.STRATEGY_A, distance_km=0.0)
+    if case == "strategy_a_fraction":
+        return dict(system=system, eve_model=EveModel.STRATEGY_A, distance_km=20.0,
+                    attack_fraction=0.6, strategy_a_blind_fill=False)
+    return dict(system=make_system(mu=0.5, length=20.0, p_dark=1e-3, qber_opt=0.005),
+                eve_model=EveModel.STRATEGY_B, distance_km=20.0,
+                attack=BeamsplitAttack(lam=0.2, gamma=0.3, t_e=0.9))
+
+
+GOLDEN_CASES = ("none_dark", "strategy_a_0km", "strategy_a_fraction", "strategy_b_gamma")
+
+
+def golden_csv(case, workers):
+    sim = simulate(SimConfig(n_pulses=3 * BLOCK + 12_345, seed=8, batch_size=77_781,
+                             workers=workers, **_golden_kwargs(case)))
+    return "\n".join(sim.csv_lines()) + "\n"
+
+
+class TestGoldenTallies:
+    """Fixed-seed tallies match the stored copies byte for byte, so a change
+    to any draw of the kernel shows, whatever the worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_tallies_are_byte_identical(self, case, workers):
+        assert golden_csv(case, workers) == (DATA / f"mc_{case}.csv").read_text()
 
 
 class TestDeterminism:

@@ -10,9 +10,11 @@ alike.  Run length and the end-to-end metrics, with which way is better,
 come from the change tree's ``BENCHMARK.json``.  For each side and metric
 the output gives the median, the quartiles and every value, the ratio of
 the medians (change over parent) and the number of pairs the change won
-(ties count for neither side).  ``--traced`` adds one traced run
-(``--trace 1``) per tree and keeps its Monte Carlo layer metrics.  Uses the
-standard library only.
+(ties count for neither side).  ``--traced N`` adds N traced runs
+(``--trace 1``) per tree, alternating the same way with seed SEED+i in run
+i, and gives the median and quartiles of each Monte Carlo layer metric: one
+traced pass cannot resolve a change of 20% in one config's throughput.
+Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -77,6 +79,21 @@ def bench_workload(trees: dict, workload: str, seed: int, pairs: int,
     return out
 
 
+def bench_traced(trees: dict, workload: str, seed: int, runs: int) -> dict:
+    values = {side: {} for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result = run_bench(trees[side], ["--workload", workload, "--seed", str(seed + i),
+                                             "--seconds", "1", "--trace", "1"])
+            for name, m in result["metrics"].items():
+                if name.startswith(TRACED_PREFIXES):
+                    values[side].setdefault(name, []).append(m["value"])
+    out = {"runs": runs, "seeds": [seed + i for i in range(runs)]}
+    for side in SIDES:
+        out[side] = {name: summary(v) for name, v in values[side].items()}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -84,12 +101,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced", action="store_true",
-                        help="also one traced run per tree, for the layer metrics")
+    parser.add_argument("--traced", type=int, default=0, metavar="N",
+                        help="also N traced runs per tree, for the layer metrics")
     parser.add_argument("--out", type=Path, help="JSON file; default standard output")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.traced < 0:
+        parser.error("--traced must be >= 0")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -99,13 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                          f"--seconds {seconds} --trace 0",
               "pairs": args.pairs, "workloads": {}}
     if args.traced:
-        report["traced"] = {}
-        for side in SIDES:
-            result = run_bench(trees[side], ["--workload", args.workload[0], "--seed",
-                                             str(args.seed), "--seconds", "1", "--trace", "1"])
-            report["traced"][side] = {
-                name: m["value"] for name, m in result["metrics"].items()
-                if name.startswith(TRACED_PREFIXES)}
+        report["traced"] = bench_traced(trees, args.workload[0], args.seed, args.traced)
     for workload in args.workload:
         report["workloads"][workload] = bench_workload(
             trees, workload, args.seed, args.pairs, seconds, metrics)
