@@ -16,7 +16,6 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
 from qkd_eve_lab import montecarlo
-
 from qkd_eve_lab.config import ConfigError, SystemConfig
 from qkd_eve_lab.core_stats import (
     BasisMode,
