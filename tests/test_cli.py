@@ -312,6 +312,17 @@ class TestGoldenOutput:
                 if not line.startswith(b"#")]
         assert b"".join(rows) == (DATA / golden).read_bytes()
 
+    def test_rates_files_are_byte_identical(self, tmp_path, capsys):
+        assert main(["rates", "--out", str(tmp_path / "rates.csv"),
+                     "--set", "sweep.step=10"]) == 0
+        assert rates_bundle(tmp_path) == (DATA / "rates_step10.txt").read_bytes()
+
+
+def rates_bundle(directory: Path) -> bytes:
+    """Every CSV that ``rates`` wrote, in name order, each under its name."""
+    paths = sorted(directory.glob("*.csv"))
+    return b"".join(b"== %s ==\n" % p.name.encode() + p.read_bytes() for p in paths)
+
 
 _FIELDS = {f.metadata["key"]: f for f in fields(Settings)}
 _BOUNDED_KEYS = sorted(key for key, f in _FIELDS.items() if f.metadata["bounds"])
