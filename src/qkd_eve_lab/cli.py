@@ -208,24 +208,19 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
     d_min, d_max, step = _sweep(settings)
     stem = args.out if args.out is not None else Path("rates.csv")
 
-    curve_specs: list[tuple[EveModel, float]] = []
-    for mu in settings.mu_values:
-        curve_specs += [
-            (EveModel.NONE, mu),
-            (EveModel.STRATEGY_A, mu),
-            (EveModel.UNLIMITED, mu),
-        ]
-    curve_specs += [
-        (EveModel.STRATEGY_B, settings.mu),
-        (EveModel.STRATEGY_B_STORAGE, settings.mu),
-    ]
-
-    for model, mu in curve_specs:
-        cfg = system.with_mu(mu)
-        points = keyrate.curve(model, cfg, d_min, d_max, step)
+    def write_curve(model: EveModel, mu: float, points: list[keyrate.RatePoint]) -> None:
         path = stem.with_name(f"{stem.stem}_{model.value}_mu{mu:g}{stem.suffix}")
         _write_csv(path, settings, _RATE_COLUMNS, _curve_rows(points),
                    extra_header={"eve_model": model.value, "mu": f"{mu:g}"})
+
+    # The unlimited model optimises mu, so one curve serves every mu value.
+    unlimited = keyrate.curve(EveModel.UNLIMITED, system, d_min, d_max, step)
+    for mu in settings.mu_values:
+        for model in (EveModel.NONE, EveModel.STRATEGY_A):
+            write_curve(model, mu, keyrate.curve(model, system.with_mu(mu), d_min, d_max, step))
+        write_curve(EveModel.UNLIMITED, mu, unlimited)
+    for model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
+        write_curve(model, settings.mu, keyrate.curve(model, system, d_min, d_max, step))
 
     table_rows = []
     for model in EveModel:

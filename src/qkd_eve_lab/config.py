@@ -137,7 +137,7 @@ class SystemConfig:
         return replace(self, source=replace(self.source, mu=mu))
 
     def t_ab(self, distance_km: float) -> float:
-        """Installed-link transmittance at a given fiber length."""
+        """Installed-link transmittance at a given fiber length; elementwise."""
         return transmission(self.channel.alpha_ab * distance_km)
 
     def eve_t_e(self, distance_km: float) -> float:

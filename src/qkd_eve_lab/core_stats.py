@@ -55,9 +55,10 @@ class SourceParams:
 
     Attributes
     ----------
-    mu : float
+    mu : float or ndarray
         Mean photon number per pulse (> 0).  Second-order formulas are
-        only advertised for mu <= 0.2.
+        only advertised for mu <= 0.2.  An array of mu makes
+        :func:`p_single` elementwise in mu.
     nu : float
         Pulse repetition frequency in Hz (> 0).  Only absolute rates
         depend on it; all probabilities are per pulse.
@@ -67,7 +68,7 @@ class SourceParams:
     nu: float = 1.0e6
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
+        if not np.all(np.greater(self.mu, 0)):
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if not self.nu > 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
@@ -190,9 +191,9 @@ def multi_photon_fraction(mu: float, mode: str = "exact") -> float:
     return (1.0 - p0 - p1) / (1.0 - p0)
 
 
-def transmission(loss_db: float) -> float:
-    """Transmittance of a link with the given total loss in dB."""
-    if loss_db < 0:
+def transmission(loss_db: float | np.ndarray) -> float | np.ndarray:
+    """Transmittance of a link with the given total loss in dB; elementwise."""
+    if np.any(np.less(loss_db, 0)):
         raise ValueError(f"loss_db must be >= 0, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 
@@ -220,11 +221,11 @@ def eve_gain_db(channel: ChannelParams, monitor_tof: bool = False) -> float:
 def p_single(src: SourceParams, t: float, det: DetectorParams) -> float:
     """Probability of at least one click at Bob per pulse (dark counts excluded).
 
-    Exact form 1 - exp(-mu * t * eta_b).  The linearized form is available
-    as :func:`p_single_linear`.
+    Exact form 1 - exp(-mu * t * eta_b), elementwise in ``t`` and ``src.mu``.
+    The linearized form is available as :func:`p_single_linear`.
     """
     _check_t(t)
-    return -math.expm1(-src.mu * t * det.eta_b)
+    return -np.expm1(-src.mu * t * det.eta_b)
 
 
 def p_single_linear(src: SourceParams, t: float, det: DetectorParams) -> float:
@@ -278,6 +279,6 @@ def rates(src: SourceParams, t: float, det: DetectorParams) -> Rates:
     )
 
 
-def _check_t(t: float) -> None:
-    if not 0 <= t <= 1:
+def _check_t(t: float | np.ndarray) -> None:
+    if not np.all(np.greater_equal(t, 0) & np.less_equal(t, 1)):
         raise ValueError(f"transmittance must be in [0, 1], got {t}")

@@ -6,11 +6,17 @@ per-pulse sifted rate is the figure of merit.  The measured QBER is split
 into an optical part and the dark-count part that grows with distance, and
 only the excess over the dark-count part (with a configurable floor) is
 attributed to the eavesdropper.
+
+Every formula here is elementwise: distances, and mu where the unlimited
+model optimises it, may be numpy arrays.  One private evaluator over an
+array of distances serves :func:`curve`, :func:`net_rate` (a one-element
+call) and :func:`max_distance`.  Only the eavesdropper's information under
+strategies A and B is solved one distance at a time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .search import bisect, distance_grid, golden_max
 
 @dataclass(frozen=True)
 class QberBudget:
-    """Decomposition of the measured error rate."""
+    """Decomposition of the measured error rate (floats or arrays)."""
 
     qber_opt: float
     qber_det: float
@@ -44,104 +50,105 @@ class RatePoint:
 
 
 def binary_entropy(x: float) -> float:
-    """Shannon entropy of a binary variable, h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
+    """Shannon entropy of a binary variable, h(0) = h(1) = 0; elementwise."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"probability must be in [0, 1], got {x}")
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)[()]
 
 
 def qber_model(distance_km: float, cfg: SystemConfig) -> QberBudget:
-    """Measured QBER at a given distance and its attribution.
+    """Measured QBER at a given distance and its attribution; elementwise.
 
     Dark counts contribute (n_gated p_dark / 2) errors per
     (p_single + n_gated p_dark) clicks; the optical part is constant.  The
     part attributed to the eavesdropper is the excess over the dark-count
     share, never less than the configured floor.
     """
-    if distance_km < 0:
+    if np.any(np.less(distance_km, 0)):
         raise ValueError(f"distance must be >= 0, got {distance_km}")
-    ps = p_single(cfg.source, cfg.t_ab(distance_km), cfg.detector)
+    return _net(distance_km, cfg.source.mu, 0.0, cfg)[0]
+
+
+def _net(distance_km, mu, i_eve, cfg: SystemConfig) -> tuple[QberBudget, np.ndarray]:
+    """QBER budget and per-pulse net rate (p_single / 2) * secret fraction,
+    elementwise in distance, mu and I(A,E)."""
+    ps = p_single(replace(cfg.source, mu=mu), cfg.t_ab(distance_km), cfg.detector)
     dark = cfg.detector.n_gated * cfg.detector.p_dark
     clicks = ps + dark
-    qber_det = (dark / 2.0) / clicks if clicks > 0 else 0.0
-    qber_mes = min(0.5, cfg.qber_opt + qber_det)
-    qber_attrib = max(cfg.qber_attrib_floor, max(0.0, qber_mes - qber_det))
-    return QberBudget(cfg.qber_opt, qber_det, qber_mes, qber_attrib)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qber_det = np.where(clicks > 0, (dark / 2.0) / clicks, 0.0)[()]
+    qber_mes = np.minimum(0.5, cfg.qber_opt + qber_det)
+    qber_attrib = np.maximum(cfg.qber_attrib_floor, np.maximum(0.0, qber_mes - qber_det))
+    secret = np.maximum(0.0, 1.0 - cfg.f_ec * binary_entropy(qber_mes) - i_eve)
+    return QberBudget(cfg.qber_opt, qber_det, qber_mes, qber_attrib), (ps / 2.0) * secret
 
 
-def _strategy_b_info(distance_km: float, cfg: SystemConfig) -> float:
-    t_ab = cfg.t_ab(distance_km)
-    t_e = cfg.eve_t_e(distance_km)
-    if t_e < t_ab:  # degenerate at distance 0 rounding
-        t_e = t_ab
-    opt = strategy_b.max_stealth_info(
-        cfg.source.mu, t_ab, t_e, cfg.detector.eta_b, cfg.n_pulses, cfg.basis_mode
-    )
-    return opt.info
+def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.ndarray:
+    """I(A,E) per sifted bit to remove in privacy amplification; elementwise.
 
-
-def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> float:
-    """I(A,E) per sifted bit to remove in privacy amplification."""
+    The strategy-A allocation and the strategy-B stealth optimum are solved
+    one distance at a time.
+    """
+    d = np.asarray(distance_km, dtype=float)
     if eve is EveModel.NONE:
-        return 0.0
+        return np.zeros_like(d)
     if eve is EveModel.STRATEGY_A:
-        mix = strategy_a.allocate(cfg.source.mu, cfg.t_ab(distance_km))
-        budget = qber_model(distance_km, cfg)
-        return strategy_a.attributed_info(mix, budget.qber_attrib)
-    if eve is EveModel.STRATEGY_B:
-        return _strategy_b_info(distance_km, cfg)
-    if eve is EveModel.STRATEGY_B_STORAGE:
-        return min(1.0, 2.0 * _strategy_b_info(distance_km, cfg))
+        info = np.vectorize(lambda t, attrib: strategy_a.attributed_info(
+            strategy_a.allocate(cfg.source.mu, t), attrib), otypes=[float])
+        return info(cfg.t_ab(d), qber_model(d, cfg).qber_attrib)
+    if eve in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
+        def stealth_info(x: float) -> float:
+            t_ab = cfg.t_ab(x)
+            t_e = max(cfg.eve_t_e(x), t_ab)  # degenerate at distance 0 rounding
+            return strategy_b.max_stealth_info(cfg.source.mu, t_ab, t_e, cfg.detector.eta_b,
+                                               cfg.n_pulses, cfg.basis_mode).info
+
+        info = np.vectorize(stealth_info, otypes=[float])(d)
+        return info if eve is EveModel.STRATEGY_B else np.minimum(1.0, 2.0 * info)
     raise ValueError("unlimited model optimizes mu; use luetkenhaus_rate")
 
 
-def _secret_fraction(qber_mes: float, i_eve: float, f_ec: float) -> float:
-    return max(0.0, 1.0 - f_ec * binary_entropy(qber_mes) - i_eve)
-
-
-def _secret_rate(
-    distance_km: float, cfg: SystemConfig, i_eve: float
-) -> tuple[QberBudget, float]:
-    """QBER budget and per-pulse net rate (p_single / 2) * secret fraction."""
-    budget = qber_model(distance_km, cfg)
-    ps = p_single(cfg.source, cfg.t_ab(distance_km), cfg.detector)
-    return budget, (ps / 2.0) * _secret_fraction(budget.qber_mes, i_eve, cfg.f_ec)
+def _points(distances: list[float], eve: EveModel, cfg: SystemConfig) -> list[RatePoint]:
+    """Rate points at each distance, from one array pass of :func:`_net`."""
+    d = np.asarray(distances, dtype=float)
+    mu = cfg.source.mu
+    mu_opt = [None] * d.size
+    if eve is EveModel.UNLIMITED:
+        mu_opt = [luetkenhaus_rate(x, cfg)[0] for x in d.tolist()]
+        mu = np.array(mu_opt)
+        i_eve = unlimited_info(mu, d, cfg)
+    else:
+        i_eve = eve_information(d, eve, cfg)
+    budget, r_net = _net(d, mu, i_eve, cfg)
+    # Zero-distance no-eavesdropper rate used for relative normalization.
+    reference = _net(0.0, cfg.source.mu, 0.0, cfg)[1]
+    relative = r_net / reference if reference > 0 else np.zeros_like(r_net)
+    columns = zip(d.tolist(), cfg.t_ab(d).tolist(), budget.qber_det.tolist(),
+                  budget.qber_mes.tolist(), budget.qber_attrib.tolist(), i_eve.tolist(),
+                  mu_opt, r_net.tolist(), relative.tolist())
+    return [
+        RatePoint(dk, t, QberBudget(cfg.qber_opt, det, mes, attrib), info, m, r, rel)
+        for dk, t, det, mes, attrib, info, m, r, rel in columns
+    ]
 
 
 def net_rate(distance_km: float, eve: EveModel, cfg: SystemConfig) -> RatePoint:
     """Per-pulse net secret rate at one distance for one eavesdropper model."""
     if distance_km < 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
-    mu_opt: float | None = None
-    if eve is EveModel.UNLIMITED:
-        mu_opt, _ = luetkenhaus_rate(distance_km, cfg)
-        i_eve = unlimited_info(mu_opt, distance_km, cfg)
-        budget, r_net = _secret_rate(distance_km, cfg.with_mu(mu_opt), i_eve)
-    else:
-        i_eve = eve_information(distance_km, eve, cfg)
-        budget, r_net = _secret_rate(distance_km, cfg, i_eve)
-    # Zero-distance no-eavesdropper rate used for relative normalization.
-    _, reference = _secret_rate(0.0, cfg, 0.0)
-    return RatePoint(
-        distance_km=distance_km,
-        t_ab=cfg.t_ab(distance_km),
-        qber=budget,
-        i_eve=i_eve,
-        mu_opt=mu_opt,
-        r_net_normalized=r_net,
-        r_net_relative=r_net / reference if reference > 0 else 0.0,
-    )
+    return _points([distance_km], eve, cfg)[0]
 
 
 def unlimited_info(mu: float, distance_km: float, cfg: SystemConfig) -> float:
-    """Multiphoton fraction of the clicks, all of it assumed known to Eve."""
-    p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
+    """Multiphoton fraction of the clicks, all of it assumed known to Eve;
+    elementwise in mu and distance."""
+    p_multi = 1.0 - np.exp(-mu) * (1.0 + mu)
     clicks = mu * cfg.t_ab(distance_km) * cfg.detector.eta_b
-    if clicks <= 0:
-        return 1.0
-    return min(1.0, p_multi / clicks)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(clicks > 0, np.minimum(1.0, p_multi / clicks), 1.0)[()]
 
 
 def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[float, float]:
@@ -150,51 +157,41 @@ def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[float, floa
     The attacker keeps every multiphoton pulse, so whenever
     t_ab eta_b ~ mu/2 her information reaches one and the rate collapses;
     the optimum mu therefore falls with distance.  Deterministic search:
-    coarse log grid, then golden-section refinement to 1e-6.
+    coarse log grid in one array pass, then golden-section refinement to
+    1e-6.
     """
     if distance_km < 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
 
-    def value(mu: float) -> float:
-        i_eve = unlimited_info(mu, distance_km, cfg)
-        return _secret_rate(distance_km, cfg.with_mu(mu), i_eve)[1]
+    def value(mu):
+        return _net(distance_km, mu, unlimited_info(mu, distance_km, cfg), cfg)[1]
 
     grid = np.geomspace(1e-5, 1.0, 121)
-    values = [value(float(m)) for m in grid]
-    best = int(np.argmax(values))
+    best = int(np.argmax(value(grid)))
     lo = float(grid[max(0, best - 1)])
     hi = float(grid[min(len(grid) - 1, best + 1)])
     mu_opt = golden_max(value, lo, hi, 1e-6)
-    return mu_opt, value(mu_opt)
+    return mu_opt, float(value(mu_opt))
 
 
-def max_distance(
-    eve: EveModel, cfg: SystemConfig, d_limit: float = 500.0
-) -> float:
-    """Largest distance with a positive net rate, to 0.1 km.
+def max_distance(eve: EveModel, cfg: SystemConfig, d_limit: float = 500.0) -> float:
+    """Largest distance with a positive net rate, to 1/64 km.
 
-    Coarse 1 km scan for the sign change on the monotone tail, then
-    bisection.  Returns infinity when the rate is still positive at
-    ``d_limit`` ("unbounded at grid limit").
+    One array pass gives the rate on the 1 km grid 0..d_limit.  The last
+    positive grid point and the one after it bracket the cutoff, and five
+    halvings with :func:`net_rate` leave a 1/32 km bracket, whose midpoint
+    is returned.  Returns 0.0 when no grid point is positive and infinity
+    when the last one still is ("unbounded at grid limit").
     """
-
-    def positive(d: float) -> bool:
-        return net_rate(d, eve, cfg).r_net_normalized > 0.0
-
-    last_positive: float | None = None
-    first_zero: float | None = None
-    for d in distance_grid(0.0, d_limit, 1.0):
-        if positive(d):
-            last_positive = d
-            first_zero = None  # rate recovered; keep scanning the tail
-        elif last_positive is not None and first_zero is None:
-            first_zero = d
-    if last_positive is None:
+    grid = distance_grid(0.0, d_limit, 1.0)
+    points = _points(grid, eve, cfg)
+    last = max((i for i, p in enumerate(points) if p.r_net_normalized > 0.0), default=None)
+    if last is None:
         return 0.0
-    if first_zero is None:
+    if last == len(grid) - 1:
         return math.inf
-    # The bracket is one grid step wide; five halvings leave 1/32 km.
-    lo, hi = bisect(positive, last_positive, first_zero, 5)
+    lo, hi = bisect(lambda d: net_rate(d, eve, cfg).r_net_normalized > 0.0,
+                    grid[last], grid[last + 1], 5)
     return 0.5 * (lo + hi)
 
 
@@ -206,4 +203,4 @@ def curve(
     step: float = 1.0,
 ) -> list[RatePoint]:
     """Dense table of rate points for plotting; zeros stay exact zeros."""
-    return [net_rate(d, eve, cfg) for d in distance_grid(d_min, d_max, step)]
+    return _points(distance_grid(d_min, d_max, step), eve, cfg)

@@ -96,11 +96,6 @@ class _Streams:
         return self.stream(column, block).random(out=self.buffer[:size])
 
 
-def _block_stream(seed: int, column: int, block: int) -> np.random.Generator:
-    """Stream of one decision column within one block of pulses."""
-    return _Streams(seed).stream(column, block)
-
-
 def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int,
                          p: float) -> np.ndarray:
     """Sorted indices in [0, length) of the pulses of ``block`` with an
@@ -187,7 +182,6 @@ class SimConfig:
     attack: BeamsplitAttack | None = None
     distance_km: float | None = None
     attack_fraction: float = 1.0
-    strategy_a_blind_fill: bool = True
     n_pulses: int = 10**6
     seed: int = 42
     batch_size: int = 2**20
@@ -220,14 +214,6 @@ class SimConfig:
             if not 0 <= self.attack_fraction <= 1:
                 raise ConfigError(
                     f"attack_fraction must be in [0, 1], got {self.attack_fraction}"
-                )
-            mix = strategy_a.allocate(
-                self.system.source.mu, self.system.t_ab(self.distance)
-            )
-            if mix.deficit and not self.strategy_a_blind_fill:
-                raise ConfigError(
-                    "strategy-a allocation has a supply deficit at this distance "
-                    "and blind filling is disabled"
                 )
 
 
@@ -325,9 +311,7 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
     for label in strategy_a.CASE_LABELS:
         supply = mix.supply[label]
         probs.append(mix.usage[label] / supply if supply > 0 else 0.0)
-    blind_prob = 0.0
-    if mix.blind > 0 and cfg.strategy_a_blind_fill:
-        blind_prob = min(1.0, mix.blind / math.exp(-mu))
+    blind_prob = min(1.0, mix.blind / math.exp(-mu))  # 0 unless in deficit
     return _StrategyAPolicy(tuple(probs), blind_prob, cfg.attack_fraction)
 
 

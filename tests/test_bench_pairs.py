@@ -62,6 +62,7 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
             rate = (10.0 if side == "change" else 5.0) + seed  # seeds 0, 1, 2
             metrics = {"montecarlo.mpulses_per_s.dense": {"value": rate, "unit": "Mpulses/s"},
                        "montecarlo.photon_fraction.mc_dense": {"value": 0.3, "unit": "fraction"},
+                       "keyrate.curve_ms.none": {"value": 2.0 * seed, "unit": "ms"},
                        "verify.checks": {"value": 23, "unit": "count"}}
         return {"environment": {}, "correct": True, "attempted": 1, "failed": 0,
                 "metrics": metrics}
@@ -80,10 +81,12 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
     traced = json.loads(out.read_text())["traced"]
     assert traced["runs"] == 3 and traced["seeds"] == [0, 1, 2]
     assert set(traced["change"]) == {"montecarlo.mpulses_per_s.dense",
-                                     "montecarlo.photon_fraction.mc_dense"}
+                                     "montecarlo.photon_fraction.mc_dense",
+                                     "keyrate.curve_ms.none"}
     rates = traced["change"]["montecarlo.mpulses_per_s.dense"]
     assert (rates["median"], rates["values"]) == (11.0, [10.0, 11.0, 12.0])
     assert traced["parent"]["montecarlo.mpulses_per_s.dense"]["median"] == 6.0
+    assert traced["parent"]["keyrate.curve_ms.none"]["values"] == [0.0, 2.0, 4.0]
 
 
 def test_negative_traced_count_is_rejected(tmp_path):

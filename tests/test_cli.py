@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from qkd_eve_lab import config
+from qkd_eve_lab import config, keyrate
 from qkd_eve_lab.cli import main
 from qkd_eve_lab.config import (
     ConfigError,
@@ -175,6 +175,25 @@ class TestRatesCommand:
         row = [l for l in unlimited.read_text().splitlines()
                if not l.startswith("#")][1]
         assert row.split(",")[4] != ""  # mu_opt column filled
+
+    def test_unlimited_curve_computed_once_for_all_mu(self, tmp_path, monkeypatch):
+        models = []
+        real_curve = keyrate.curve
+
+        def counting_curve(eve, *args, **kwargs):
+            models.append(eve)
+            return real_curve(eve, *args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "curve", counting_curve)
+        assert main(["rates", "--out", str(tmp_path / "rates.csv"), "--set", "sweep.d_max=40",
+                     "--set", "sweep.step=10", "--set", "rates.mu_values=0.05,0.1,0.2"]) == 0
+        assert models.count(EveModel.UNLIMITED) == 1
+        files = [(tmp_path / f"rates_unlimited_mu{mu}.csv").read_text().splitlines()
+                 for mu in ("0.05", "0.1", "0.2")]
+        rows = [[line for line in lines if not line.startswith("#")] for lines in files]
+        assert rows[0] == rows[1] == rows[2] and len(rows[0]) == 6
+        assert [lines[-len(rows[0]) - 1] for lines in files] == [
+            "# mu = 0.05", "# mu = 0.1", "# mu = 0.2"]
 
 
 class TestDeterministicOutput:

@@ -19,6 +19,7 @@ from qkd_eve_lab.keyrate import (
     qber_model,
     unlimited_info,
 )
+from qkd_eve_lab.search import bisect, distance_grid
 
 
 def make_cfg(mu=0.1, p_dark=1e-6, qber_opt=0.005, f_ec=1.0, alpha_e=0.15,
@@ -197,7 +198,39 @@ class TestLuetkenhaus:
             assert r_unl < net_rate(d, EveModel.STRATEGY_B, cfg).r_net_normalized
 
 
+def scan_max_distance(eve, cfg, d_limit=500.0):
+    """Reference cutoff by a scalar 1 km scan: the last positive grid point,
+    the first zero after it, then five halvings of that bracket."""
+
+    def positive(d):
+        return net_rate(d, eve, cfg).r_net_normalized > 0.0
+
+    last_positive = first_zero = None
+    for d in distance_grid(0.0, d_limit, 1.0):
+        if positive(d):
+            last_positive, first_zero = d, None
+        elif last_positive is not None and first_zero is None:
+            first_zero = d
+    if last_positive is None:
+        return 0.0
+    if first_zero is None:
+        return math.inf
+    lo, hi = bisect(positive, last_positive, first_zero, 5)
+    return 0.5 * (lo + hi)
+
+
 class TestMaxDistance:
+    @pytest.mark.parametrize("eve", [EveModel.NONE, EveModel.STRATEGY_A, EveModel.UNLIMITED])
+    @pytest.mark.parametrize("kwargs", [{}, {"p_dark": 0.0}, {"qber_opt": 0.2, "f_ec": 1.5}])
+    def test_matches_scalar_scan(self, eve, kwargs):
+        cfg = make_cfg(**kwargs)
+        assert max_distance(eve, cfg) == scan_max_distance(eve, cfg)
+
+    @pytest.mark.parametrize("eve", [EveModel.NONE, EveModel.STRATEGY_A, EveModel.UNLIMITED])
+    def test_no_positive_rate_gives_zero(self, eve):
+        # 1 - 1.5 h(0.2) < 0: no distance keeps a secret fraction
+        assert max_distance(eve, make_cfg(qber_opt=0.2, f_ec=1.5)) == 0.0
+
     def test_none_cutoff_against_dense_scan_oracle(self):
         cfg = make_cfg()
         d_star = max_distance(EveModel.NONE, cfg)

@@ -40,7 +40,6 @@ from qkd_eve_lab.montecarlo import (
     _Tables,
     _binomial_cdf_table,
     _binomial_from_u,
-    _block_stream,
     binomial_p_value,
     compare,
     holm_rejections,
@@ -71,17 +70,17 @@ def make_system(mu=0.1, length=60.0, eta=0.1, p_dark=0.0, qber_opt=0.0):
 class TestBlockStreams:
     def test_columns_are_distinct(self):
         columns = [_COL_N, _COL_PHOTONS, _COL_DARK_0, _COL_DARK_1]
-        draws = [_block_stream(123, column, 0).random(32) for column in columns]
+        draws = [_Streams(123).stream(column, 0).random(32) for column in columns]
         assert len({d.tobytes() for d in draws}) == len(draws)
 
     def test_blocks_are_distinct(self):
-        draws = [_block_stream(123, _COL_N, block).random(32) for block in range(4)]
+        draws = [_Streams(123).stream(_COL_N, block).random(32) for block in range(4)]
         assert len({d.tobytes() for d in draws}) == len(draws)
 
     def test_same_key_same_draws(self):
-        a = _block_stream(123, _COL_PHOTONS, 7).random(32)
-        assert np.array_equal(a, _block_stream(123, _COL_PHOTONS, 7).random(32))
-        assert not np.array_equal(a, _block_stream(124, _COL_PHOTONS, 7).random(32))
+        a = _Streams(123).stream(_COL_PHOTONS, 7).random(32)
+        assert np.array_equal(a, _Streams(123).stream(_COL_PHOTONS, 7).random(32))
+        assert not np.array_equal(a, _Streams(124).stream(_COL_PHOTONS, 7).random(32))
 
 
 COLUMNS = sorted(v for k, v in vars(montecarlo).items() if k.startswith("_COL_"))
@@ -273,7 +272,7 @@ class TestDarkPositions:
         most = 0
         for block in range(200):
             at = _dark_positions(78, _COL_DARK_1, block, BLOCK, p)
-            u = _block_stream(78, _COL_DARK_1, block).random(
+            u = _Streams(78).stream(_COL_DARK_1, block).random(
                 int(BLOCK * p + 10 * math.sqrt(BLOCK * p)) + 10)
             ref = np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0) - 1.0
             assert ref[-1] >= BLOCK  # the reference reaches past the block
@@ -291,7 +290,7 @@ class TestDarkPositions:
 
 def _block_edge_kwargs(case):
     """Configs that reach every decision column: dark counts, optical error,
-    strategy A with and without blind fill, and strategy B."""
+    strategy A blind-filling at 0 km and sparse at 20 km, and strategy B."""
     system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
     if case == "none_dark":
         return dict(system=system, eve_model=EveModel.NONE, distance_km=20.0)
@@ -300,7 +299,7 @@ def _block_edge_kwargs(case):
                     eve_model=EveModel.STRATEGY_A, distance_km=0.0)
     if case == "strategy_a_sparse":
         return dict(system=system, eve_model=EveModel.STRATEGY_A, distance_km=20.0,
-                    attack_fraction=0.5, strategy_a_blind_fill=False)
+                    attack_fraction=0.5)
     t_e = system.eve_t_e(20.0)
     gamma = solve_gamma(0.1, system.t_ab(20.0), 0.2, t_e)
     return dict(system=system, eve_model=EveModel.STRATEGY_B, distance_km=20.0,
@@ -320,7 +319,7 @@ def _golden_kwargs(case):
                     eve_model=EveModel.STRATEGY_A, distance_km=0.0)
     if case == "strategy_a_fraction":
         return dict(system=system, eve_model=EveModel.STRATEGY_A, distance_km=20.0,
-                    attack_fraction=0.6, strategy_a_blind_fill=False)
+                    attack_fraction=0.6)
     return dict(system=make_system(mu=0.5, length=20.0, p_dark=1e-3, qber_opt=0.005),
                 eve_model=EveModel.STRATEGY_B, distance_km=20.0,
                 attack=BeamsplitAttack(lam=0.2, gamma=0.3, t_e=0.9))
@@ -461,10 +460,6 @@ class TestStrategyA:
 
     def test_deficit_policy_guard(self):
         system = make_system(length=0.0)
-        with pytest.raises(ConfigError):
-            SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
-                      distance_km=0.0, strategy_a_blind_fill=False,
-                      n_pulses=1000, seed=1)
         cfg = SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                         distance_km=0.0, n_pulses=200_000, seed=108)
         sim = simulate(cfg)

@@ -12,8 +12,9 @@ the output gives the median, the quartiles and every value, the ratio of
 the medians (change over parent) and the number of pairs the change won
 (ties count for neither side).  ``--traced N`` adds N traced runs
 (``--trace 1``) per tree, alternating the same way with seed SEED+i in run
-i, and gives the median and quartiles of each Monte Carlo layer metric: one
-traced pass cannot resolve a change of 20% in one config's throughput.
+i, and gives the median and quartiles of each Monte Carlo and analytic
+layer metric: one traced pass cannot resolve a change of 20% in one
+config's throughput.
 Uses the standard library only.
 """
 from __future__ import annotations
@@ -26,7 +27,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.")
+TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.", "keyrate.",
+                   "core_stats.", "strategy_a.", "strategy_b.")
 
 
 def run_bench(tree: Path, args: list[str]) -> dict:
