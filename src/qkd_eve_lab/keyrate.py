@@ -11,7 +11,7 @@ Every formula here is elementwise: distances, and mu where the unlimited
 model optimises it, may be numpy arrays.  One private evaluator over an
 array of distances serves :func:`curve`, :func:`net_rate` (a one-element
 call) and :func:`max_distance`.  Only the eavesdropper's information under
-strategies A and B is solved one distance at a time.
+strategy A is solved one distance at a time.
 """
 from __future__ import annotations
 
@@ -89,8 +89,7 @@ def _net(distance_km, mu, i_eve, cfg: SystemConfig) -> tuple[QberBudget, np.ndar
 def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.ndarray:
     """I(A,E) per sifted bit to remove in privacy amplification; elementwise.
 
-    The strategy-A allocation and the strategy-B stealth optimum are solved
-    one distance at a time.
+    The strategy-A allocation is solved one distance at a time.
     """
     d = np.asarray(distance_km, dtype=float)
     if eve is EveModel.NONE:
@@ -100,13 +99,10 @@ def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.
             strategy_a.allocate(cfg.source.mu, t), attrib), otypes=[float])
         return info(cfg.t_ab(d), qber_model(d, cfg).qber_attrib)
     if eve in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
-        def stealth_info(x: float) -> float:
-            t_ab = cfg.t_ab(x)
-            t_e = max(cfg.eve_t_e(x), t_ab)  # degenerate at distance 0 rounding
-            return strategy_b.max_stealth_info(cfg.source.mu, t_ab, t_e, cfg.detector.eta_b,
-                                               cfg.n_pulses, cfg.basis_mode).info
-
-        info = np.vectorize(stealth_info, otypes=[float])(d)
+        t_ab = cfg.t_ab(d)
+        t_e = np.maximum(cfg.eve_t_e(d), t_ab)  # degenerate at distance 0 rounding
+        info = strategy_b.max_stealth_info(cfg.source.mu, t_ab, t_e, cfg.detector.eta_b,
+                                           cfg.n_pulses, cfg.basis_mode).info
         return info if eve is EveModel.STRATEGY_B else np.minimum(1.0, 2.0 * info)
     raise ValueError("unlimited model optimizes mu; use luetkenhaus_rate")
 
@@ -117,8 +113,8 @@ def _points(distances: list[float], eve: EveModel, cfg: SystemConfig) -> list[Ra
     mu = cfg.source.mu
     mu_opt = [None] * d.size
     if eve is EveModel.UNLIMITED:
-        mu_opt = [luetkenhaus_rate(x, cfg)[0] for x in d.tolist()]
-        mu = np.array(mu_opt)
+        mu = luetkenhaus_rate(d, cfg)[0]
+        mu_opt = mu.tolist()
         i_eve = unlimited_info(mu, d, cfg)
     else:
         i_eve = eve_information(d, eve, cfg)
@@ -151,27 +147,29 @@ def unlimited_info(mu: float, distance_km: float, cfg: SystemConfig) -> float:
         return np.where(clicks > 0, np.minimum(1.0, p_multi / clicks), 1.0)[()]
 
 
-def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[float, float]:
-    """Net rate against an unlimited eavesdropper, maximized over mu.
+def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Net rate against an unlimited eavesdropper, maximized over mu;
+    elementwise in distance, returning (mu_opt, rate).
 
     The attacker keeps every multiphoton pulse, so whenever
     t_ab eta_b ~ mu/2 her information reaches one and the rate collapses;
     the optimum mu therefore falls with distance.  Deterministic search:
-    coarse log grid in one array pass, then golden-section refinement to
-    1e-6.
+    a coarse 121-point log grid in one (distance x mu) array pass, then
+    golden-section refinement of every distance to 1e-6.
     """
-    if distance_km < 0:
-        raise ValueError(f"distance must be >= 0, got {distance_km}")
+    d = np.asarray(distance_km, dtype=float)
+    if np.any(d < 0):
+        raise ValueError(f"distance must be >= 0, got {d[d < 0][0]}")
 
-    def value(mu):
-        return _net(distance_km, mu, unlimited_info(mu, distance_km, cfg), cfg)[1]
+    def value(mu, x=d):
+        return _net(x, mu, unlimited_info(mu, x, cfg), cfg)[1]
 
     grid = np.geomspace(1e-5, 1.0, 121)
-    best = int(np.argmax(value(grid)))
-    lo = float(grid[max(0, best - 1)])
-    hi = float(grid[min(len(grid) - 1, best + 1)])
+    best = np.argmax(value(grid, d[..., None]), axis=-1)
+    lo = grid[np.maximum(0, best - 1)]
+    hi = grid[np.minimum(grid.size - 1, best + 1)]
     mu_opt = golden_max(value, lo, hi, 1e-6)
-    return mu_opt, float(value(mu_opt))
+    return mu_opt, value(mu_opt)
 
 
 def max_distance(eve: EveModel, cfg: SystemConfig, d_limit: float = 500.0) -> float:

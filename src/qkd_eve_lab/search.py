@@ -1,46 +1,60 @@
 """One-dimensional searches and the distance grid of the analytic layer.
 
-Standard library only.  Every search runs a fixed number of halvings or to
-a fixed bracket width, so its result depends on its inputs alone.
+Every search runs a fixed number of halvings or to a fixed bracket width,
+so its result depends on its inputs alone.  The searches are elementwise:
+each element of the bracket ends is a search of its own, and the predicate
+or objective sees the whole array.  Scalar brackets give numpy float64s.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect(
-    inside: Callable[[float], bool], lo: float, hi: float, steps: int
-) -> tuple[float, float]:
+def bisect(inside: Callable[[np.ndarray], np.ndarray], lo, hi,
+           steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Halve [lo, hi] ``steps`` times, keeping inside(lo) true and inside(hi)
-    false; the caller vouches for the ends, which are not evaluated."""
+    false; the caller vouches for the ends, which are not evaluated.
+
+    ``inside`` maps the array of midpoints to a boolean array.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        go = inside(mid)
+        lo, hi = np.where(go, mid, lo), np.where(go, hi, mid)
+    return lo[()], hi[()]
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.ndarray:
     """Maximizer of a unimodal f on [a, b]: the midpoint of the golden-section
-    bracket once it is at most ``tol`` wide.  Ties move the bracket right."""
+    bracket once it is at most ``tol`` wide.  Ties move the bracket right.
+
+    Each bracket stops on its own once it is at most ``tol`` wide; ``f`` is
+    evaluated on the whole array at every step, and its values at stopped
+    brackets are discarded.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    while True:
+        active = np.abs(b - a) > tol
+        if not active.any():
+            return (0.5 * (a + b))[()]
+        # Left drops (d, b] and evaluates a new c; right drops [a, c), a new d.
+        left = active & (fc > fd)
+        right = active & ~left
+        b, a = np.where(left, d, b), np.where(right, c, a)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, np.where(right, d, c)), np.where(right, x, np.where(left, c, d))
+        fc, fd = (np.where(left, fx, np.where(right, fd, fc)),
+                  np.where(right, fx, np.where(left, fc, fd)))
 
 
 def distance_grid(d_min: float, d_max: float, step: float) -> list[float]:

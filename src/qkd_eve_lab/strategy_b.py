@@ -122,8 +122,8 @@ def clean_coinc_ref(
     mu: float, t_ab: float, eta_b: float, mode: BasisMode = BasisMode.ACTIVE
 ) -> float:
     """Clean-channel coincidences in the attacked expression's family:
-    prefactor * eta_b^2 * P(2; mu * t_ab)."""
-    p2 = (mu * t_ab) ** 2 / 2.0 * math.exp(-mu * t_ab)
+    prefactor * eta_b^2 * P(2; mu * t_ab); elementwise."""
+    p2 = (mu * t_ab) ** 2 / 2.0 * np.exp(-mu * t_ab)
     return mode.coincidence_prefactor * eta_b**2 * p2
 
 
@@ -326,36 +326,20 @@ def coincidence_alarm(
 
 @dataclass(frozen=True)
 class StealthOptimum:
-    """Result of the stealth-constrained information maximization."""
+    """Result of the stealth-constrained information maximization; each
+    field is an array of the shape of the link transmittances."""
 
-    lam: float
-    gamma: float
-    info: float
-    z_score: float
-    constrained: bool  # False when only the gamma = 1 fallback was available
-
-
-def _pure_bsa_lambda(mu: float, t_ab: float, t_e: float) -> float:
-    """Tap fraction at which gamma = 1 alone matches the clean singles.
-
-    Solves (1 - lam) t_e e^{-(1-lam) mu t_e} = t_ab e^{-mu t_ab} by
-    bisection; x e^{-mu x} is monotone for x <= 1 < 1/mu.
-    """
-    target = t_ab * math.exp(-mu * t_ab)
-
-    def above(lam: float) -> bool:
-        return _singles_level(mu, lam, 1.0, t_e) > target
-
-    if not above(0.0):
-        return 0.0
-    lo, hi = bisect(above, 0.0, 1.0, 200)
-    return 0.5 * (lo + hi)
+    lam: np.ndarray
+    gamma: np.ndarray
+    info: np.ndarray
+    z_score: np.ndarray
+    constrained: np.ndarray  # False where only the gamma = 1 fallback was available
 
 
 def max_stealth_info(
     mu: float,
-    t_ab: float,
-    t_e: float,
+    t_ab,
+    t_e,
     eta_b: float,
     n_pulses: float,
     mode: BasisMode = BasisMode.ACTIVE,
@@ -363,26 +347,36 @@ def max_stealth_info(
 ) -> StealthOptimum:
     """Best information compatible with matched singles and a quiet alarm.
 
-    The singles condition pins gamma as a function of lam, so the search is
-    one-dimensional: a deterministic lam grid (step ``grid_step``) followed
-    by bisection onto the z = 2 contour between the best stealthy grid
-    point and its louder neighbor.  When no gamma < 1 point is stealthy the
-    pure beam-splitting point (gamma = 1) is returned with
-    ``constrained=False``.
+    Elementwise in ``t_ab`` and ``t_e``; the result holds arrays of their
+    broadcast shape.  The singles condition pins gamma as a function of lam,
+    so each search is one-dimensional.  The pure beam-splitting tap fraction
+    lam_bsa, where gamma = 1 alone matches the clean singles, comes from 200
+    halvings (x e^{-mu x} is monotone for x <= 1 < 1/mu).  An element's lam
+    grid is i * grid_step for i < ceil(lam_bsa / grid_step), the points of
+    ``np.arange(0, lam_bsa, grid_step)``.  Its first information maximum
+    among the stealthy points (gamma < 1, z <= 2) is bisected onto the z = 2
+    contour toward its louder neighbor, and lam_bsa replaces it when that
+    gives more.  With no stealthy grid point, lam_bsa (gamma = 1) is
+    returned with ``constrained=False``; where even that is infeasible, the
+    identity attack (lam = 0, gamma = 1).
     """
-    if t_e < t_ab:
-        raise ValueError(f"t_e must be >= t_ab, got t_e={t_e} < t_ab={t_ab}")
-    if t_ab <= 0:
-        raise ValueError(f"t_ab must be > 0, got {t_ab}")
+    t_ab, t_e = np.broadcast_arrays(np.asarray(t_ab, dtype=float), np.asarray(t_e, dtype=float))
+    bad = t_e < t_ab
+    if bad.any():
+        raise ValueError(f"t_e must be >= t_ab, got t_e={t_e[bad][0]} < t_ab={t_ab[bad][0]}")
+    if np.any(t_ab <= 0):
+        raise ValueError(f"t_ab must be > 0, got {t_ab[t_ab <= 0][0]}")
 
-    lam_bsa = _pure_bsa_lambda(mu, t_ab, t_e)
-    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
-    sigma = math.sqrt(clean)
-    target = t_ab * math.exp(-mu * t_ab)
+    # One row per element; the lam grid runs along the columns.
+    shape = t_ab.shape
+    t_ab, t_e = t_ab.reshape(-1, 1), t_e.reshape(-1, 1)
     pref = mode.coincidence_prefactor
+    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
+    sigma = np.sqrt(clean)
+    target = t_ab * np.exp(-mu * t_ab)
 
-    def grid_eval(lams: np.ndarray):
-        """Vectorized (gamma, info, z, feasible) along a lam grid."""
+    def evaluate(lams: np.ndarray):
+        """(gamma, info, z, feasible) at tap fractions lams, per row."""
         pass_f = (1.0 - lams) * t_e
         m = mu * pass_f
         e_blocked = np.exp(-mu * (lams + pass_f))
@@ -392,56 +386,49 @@ def max_stealth_info(
         gamma = np.clip(gamma, 0.0, 1.0)
         bracket = (gamma - 1.0) * e_blocked + e_pass
         pc = pref * eta_b**2 * m * m / 2.0 * bracket
-        if sigma > 0:
-            z = (n_pulses * pc - clean) / sigma
-        else:
-            z = np.where(pc > 0, np.inf, 0.0)
+        z = np.where(sigma > 0, (n_pulses * pc - clean) / sigma, np.where(pc > 0, np.inf, 0.0))
         info = gamma * (mu / 2.0) * lams * (1.0 - lams) + (1.0 - gamma) * 0.5
         return gamma, info, z, feasible
 
-    def evaluate(lam: float) -> tuple[float, float, float] | None:
-        arr = np.array([lam])
-        gamma, info, z, feasible = grid_eval(arr)
-        if not feasible[0]:
-            return None
-        return float(gamma[0]), float(info[0]), float(z[0])
+    def above(lam: np.ndarray) -> np.ndarray:
+        pass_f = (1.0 - lam) * t_e
+        return pass_f * np.exp(-mu * pass_f) > target  # singles level at gamma = 1
 
-    fallback = evaluate(lam_bsa)
-    if fallback is None:  # t_e == t_ab edge: identity attack only
-        return StealthOptimum(0.0, 1.0, 0.0, 0.0, constrained=False)
+    def loud(lam: np.ndarray) -> np.ndarray:
+        _, _, z, feasible = evaluate(lam)
+        return ~feasible | (z > 2.0)
 
-    lams = np.arange(0.0, lam_bsa, grid_step)
-    if lams.size:
-        gamma_g, info_g, z_g, feas_g = grid_eval(lams)
-        stealthy = feas_g & (z_g <= 2.0) & (gamma_g < 1.0)
-    else:
-        stealthy = np.zeros(0, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = bisect(above, 0.0, 1.0, 200)
+        lam_bsa = np.where(above(0.0), 0.5 * (lo + hi), 0.0)
+        fb_gamma, fb_info, fb_z, fb_feasible = evaluate(lam_bsa)
 
-    if not stealthy.any():
-        gamma, info, z = fallback
-        return StealthOptimum(lam_bsa, gamma, info, z, constrained=False)
+        n_lams = np.ceil(lam_bsa / grid_step)
+        lams = np.arange(max(1, int(n_lams.max(initial=0.0)))) * grid_step
+        gamma_g, info_g, z_g, feas_g = evaluate(lams)
+        stealthy = (np.arange(lams.size) < n_lams) & feas_g & (z_g <= 2.0) & (gamma_g < 1.0)
+        idx = np.argmax(np.where(stealthy, info_g, -np.inf), axis=1, keepdims=True)
+        prev = np.maximum(idx - 1, 0)
+        lam, gamma, info, z = (lams[idx], *(np.take_along_axis(v, idx, 1)
+                                            for v in (gamma_g, info_g, z_g)))
 
-    idx = int(np.flatnonzero(stealthy)[np.argmax(info_g[stealthy])])
-    best = (float(info_g[idx]), float(lams[idx]), float(gamma_g[idx]), float(z_g[idx]))
+        # Refine onto the z = 2 contour just below the best grid point, where
+        # the shutter is more aggressive and the information slightly higher.
+        refine = ((idx > 0) & np.take_along_axis(feas_g, prev, 1)
+                  & (np.take_along_axis(z_g, prev, 1) > 2.0))
+        _, hi = bisect(loud, lams[prev], lam, 60)
+        r_gamma, r_info, r_z, r_feasible = evaluate(hi)
+        take = refine & r_feasible & (r_z <= 2.0) & (r_info > info)
+        lam, gamma, info, z = (np.where(take, new, old) for new, old in
+                               ((hi, lam), (r_gamma, gamma), (r_info, info), (r_z, z)))
 
-    # Refine onto the z = 2 contour just below the best grid point, where the
-    # shutter is more aggressive and the information slightly higher.
-    if idx > 0 and feas_g[idx - 1] and z_g[idx - 1] > 2.0:
-
-        def loud(lam: float) -> bool:
-            res = evaluate(lam)
-            return res is None or res[2] > 2.0
-
-        _, hi = bisect(loud, float(lams[idx - 1]), best[1], 60)
-        res = evaluate(hi)
-        if res is not None and res[2] <= 2.0 and res[1] > best[0]:
-            best = (res[1], hi, res[0], res[2])
-
-    info, lam, gamma, z = best
-    fb_gamma, fb_info, fb_z = fallback
-    if fb_info > info:
-        return StealthOptimum(lam_bsa, fb_gamma, fb_info, fb_z, constrained=True)
-    return StealthOptimum(lam, gamma, info, z, constrained=True)
+    has_stealthy = stealthy.any(axis=1, keepdims=True)
+    use_fb = ~has_stealthy | (fb_info > info)
+    fields = [np.where(fb_feasible, np.where(use_fb, fb, best), identity)
+              for fb, best, identity in ((lam_bsa, lam, 0.0), (fb_gamma, gamma, 1.0),
+                                         (fb_info, info, 0.0), (fb_z, z, 0.0))]
+    return StealthOptimum(*(f.reshape(shape) for f in fields),
+                          constrained=(fb_feasible & has_stealthy).reshape(shape))
 
 
 def lambda_for_gamma(

@@ -190,6 +190,23 @@ class TestLuetkenhaus:
         # scale: relative slope per relative mu step
         assert abs(derivative * mu_opt / r_opt) < 1e-2
 
+    @pytest.mark.parametrize("kwargs", [{}, {"p_dark": 0.0}, {"mu": 0.5, "qber_opt": 0.02}])
+    def test_array_call_equals_per_distance_calls(self, kwargs):
+        cfg = make_cfg(**kwargs)
+        distances = np.arange(0.0, 150.0, 2.5)
+        mu_opt, rate = luetkenhaus_rate(distances, cfg)
+        for i, d in enumerate(distances.tolist()):
+            mu_one, rate_one = luetkenhaus_rate(d, cfg)
+            assert isinstance(mu_one, float) and isinstance(rate_one, float)
+            assert mu_opt[i] == mu_one
+            assert rate[i] == pytest.approx(rate_one, rel=1e-14, abs=0.0)
+
+    def test_rejects_negative_distance(self):
+        with pytest.raises(ValueError):
+            luetkenhaus_rate(-1.0, make_cfg())
+        with pytest.raises(ValueError, match=r"got -2\.0$"):
+            luetkenhaus_rate(np.array([10.0, -2.0, -3.0]), make_cfg())
+
     def test_drops_below_realistic_curves_before_their_cutoffs(self):
         cfg = make_cfg()
         for d in (10.0, 30.0, 60.0, 90.0):

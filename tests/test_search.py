@@ -1,7 +1,10 @@
 """Unit tests of the shared searches and the distance grid."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_eve_lab.search import bisect, distance_grid, golden_max
 
@@ -54,3 +57,48 @@ def test_golden_max_breaks_ties_to_the_right():
     # Zero-rate tails are flat; the search walks to the right end of them.
     x = golden_max(lambda m: 0.0, 2.0, 3.0, 1e-6)
     assert 3.0 - 1e-6 < x < 3.0
+
+
+def test_scalar_brackets_give_floats():
+    lo, hi = bisect(lambda x: x < 0.3, 0.0, 1.0, 10)
+    x = golden_max(lambda m: -(m - 0.3) ** 2, 0.0, 1.0, 1e-6)
+    assert all(isinstance(v, float) for v in (lo, hi, x))
+
+
+# Brackets of widths from 0 to 10 at tol 1e-6 stop after 0 to about 33 steps.
+_bracket = st.tuples(st.floats(-5.0, 5.0),
+                     st.sampled_from([0.0, 1e-7, 1e-3, 0.1, 1.0, 10.0]),
+                     st.floats(-5.0, 15.0),
+                     st.sampled_from([0.0, 1.0, 10.0, 1e3, 1e9]))
+
+
+@given(st.lists(_bracket, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_golden_max_elementwise_equals_scalar_runs(rows):
+    # A quantized peak, -floor(q |x - p|), has exact ties; q = 0 is flat.
+    a, width, p, q = (np.array(col) for col in zip(*rows))
+
+    def f(x, p=p, q=q):
+        return -np.floor(q * np.abs(x - p))
+
+    got = golden_max(f, a, a + width, 1e-6)
+    for i in range(len(rows)):
+        want = golden_max(lambda x: f(x, p[i], q[i]), a[i], a[i] + width[i], 1e-6)
+        assert got[i] == want
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 10.0), st.floats(0.0, 1.0),
+                          st.floats(0.1, 10.0)), min_size=1, max_size=8),
+       st.integers(0, 70))
+@settings(max_examples=200, deadline=None)
+def test_bisect_elementwise_equals_scalar_runs(rows, steps):
+    lo, width, level, rate = (np.array(col) for col in zip(*rows))
+
+    def inside(x, lo=lo, level=level, rate=rate):
+        return np.exp(-rate * (x - lo)) > level
+
+    got_lo, got_hi = bisect(inside, lo, lo + width, steps)
+    for i in range(len(rows)):
+        want = bisect(lambda x: inside(x, lo[i], level[i], rate[i]), lo[i], lo[i] + width[i],
+                      steps)
+        assert (got_lo[i], got_hi[i]) == want

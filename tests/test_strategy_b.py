@@ -1,13 +1,18 @@
 """Unit tests for the beamsplitter-plus-shutter attack machinery."""
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qkd_eve_lab.config import Settings
 from qkd_eve_lab.core_stats import BasisMode, transmission
 from qkd_eve_lab.strategy_b import (
+    _EDGE_TOL,
     BeamsplitAttack,
+    StealthOptimum,
+    _singles_level,
     blocking_threshold_db,
     blocking_threshold_t,
     bob_probs_prime,
@@ -326,6 +331,185 @@ class TestMaxStealthInfo:
     def test_rejects_lossier_replacement_fiber(self):
         with pytest.raises(ValueError):
             max_stealth_info(MU, 0.5, 0.3, 0.1, 1e10)
+        with pytest.raises(ValueError, match=r"got t_e=0\.3 < t_ab=0\.5$"):
+            max_stealth_info(MU, [0.1, 0.5, 0.7], [0.3, 0.3, 0.3], 0.1, 1e10)
+
+    def test_rejects_a_dark_link(self):
+        with pytest.raises(ValueError):
+            max_stealth_info(MU, 0.0, 0.3, 0.1, 1e10)
+        with pytest.raises(ValueError, match=r"t_ab must be > 0, got 0\.0$"):
+            max_stealth_info(MU, [0.1, 0.0], 0.3, 0.1, 1e10)
+
+
+# Reference for the array optimum: the scalar stealth optimum, solved for one
+# (t_ab, t_e) at a time with ``bisect``, a scalar halving loop.
+def bisect(inside, lo, hi, steps):
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _pure_bsa_lambda(mu: float, t_ab: float, t_e: float) -> float:
+    """Tap fraction at which gamma = 1 alone matches the clean singles.
+
+    Solves (1 - lam) t_e e^{-(1-lam) mu t_e} = t_ab e^{-mu t_ab} by
+    bisection; x e^{-mu x} is monotone for x <= 1 < 1/mu.
+    """
+    target = t_ab * math.exp(-mu * t_ab)
+
+    def above(lam: float) -> bool:
+        return _singles_level(mu, lam, 1.0, t_e) > target
+
+    if not above(0.0):
+        return 0.0
+    lo, hi = bisect(above, 0.0, 1.0, 200)
+    return 0.5 * (lo + hi)
+
+
+def reference_max_stealth_info(
+    mu: float,
+    t_ab: float,
+    t_e: float,
+    eta_b: float,
+    n_pulses: float,
+    mode: BasisMode = BasisMode.ACTIVE,
+    grid_step: float = 1e-3,
+) -> StealthOptimum:
+    """Best information compatible with matched singles and a quiet alarm.
+
+    The singles condition pins gamma as a function of lam, so the search is
+    one-dimensional: a deterministic lam grid (step ``grid_step``) followed
+    by bisection onto the z = 2 contour between the best stealthy grid
+    point and its louder neighbor.  When no gamma < 1 point is stealthy the
+    pure beam-splitting point (gamma = 1) is returned with
+    ``constrained=False``.
+    """
+    if t_e < t_ab:
+        raise ValueError(f"t_e must be >= t_ab, got t_e={t_e} < t_ab={t_ab}")
+    if t_ab <= 0:
+        raise ValueError(f"t_ab must be > 0, got {t_ab}")
+
+    lam_bsa = _pure_bsa_lambda(mu, t_ab, t_e)
+    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
+    sigma = math.sqrt(clean)
+    target = t_ab * math.exp(-mu * t_ab)
+    pref = mode.coincidence_prefactor
+
+    def grid_eval(lams: np.ndarray):
+        """Vectorized (gamma, info, z, feasible) along a lam grid."""
+        pass_f = (1.0 - lams) * t_e
+        m = mu * pass_f
+        e_blocked = np.exp(-mu * (lams + pass_f))
+        e_pass = np.exp(-m)
+        gamma = 1.0 + (target / pass_f - e_pass) / e_blocked
+        feasible = (gamma >= -_EDGE_TOL) & (gamma <= 1.0 + _EDGE_TOL)
+        gamma = np.clip(gamma, 0.0, 1.0)
+        bracket = (gamma - 1.0) * e_blocked + e_pass
+        pc = pref * eta_b**2 * m * m / 2.0 * bracket
+        if sigma > 0:
+            z = (n_pulses * pc - clean) / sigma
+        else:
+            z = np.where(pc > 0, np.inf, 0.0)
+        info = gamma * (mu / 2.0) * lams * (1.0 - lams) + (1.0 - gamma) * 0.5
+        return gamma, info, z, feasible
+
+    def evaluate(lam: float) -> tuple[float, float, float] | None:
+        arr = np.array([lam])
+        gamma, info, z, feasible = grid_eval(arr)
+        if not feasible[0]:
+            return None
+        return float(gamma[0]), float(info[0]), float(z[0])
+
+    fallback = evaluate(lam_bsa)
+    if fallback is None:  # t_e == t_ab edge: identity attack only
+        return StealthOptimum(0.0, 1.0, 0.0, 0.0, constrained=False)
+
+    lams = np.arange(0.0, lam_bsa, grid_step)
+    if lams.size:
+        gamma_g, info_g, z_g, feas_g = grid_eval(lams)
+        stealthy = feas_g & (z_g <= 2.0) & (gamma_g < 1.0)
+    else:
+        stealthy = np.zeros(0, dtype=bool)
+
+    if not stealthy.any():
+        gamma, info, z = fallback
+        return StealthOptimum(lam_bsa, gamma, info, z, constrained=False)
+
+    idx = int(np.flatnonzero(stealthy)[np.argmax(info_g[stealthy])])
+    best = (float(info_g[idx]), float(lams[idx]), float(gamma_g[idx]), float(z_g[idx]))
+
+    # Refine onto the z = 2 contour just below the best grid point, where the
+    # shutter is more aggressive and the information slightly higher.
+    if idx > 0 and feas_g[idx - 1] and z_g[idx - 1] > 2.0:
+
+        def loud(lam: float) -> bool:
+            res = evaluate(lam)
+            return res is None or res[2] > 2.0
+
+        _, hi = bisect(loud, float(lams[idx - 1]), best[1], 60)
+        res = evaluate(hi)
+        if res is not None and res[2] <= 2.0 and res[1] > best[0]:
+            best = (res[1], hi, res[0], res[2])
+
+    info, lam, gamma, z = best
+    fb_gamma, fb_info, fb_z = fallback
+    if fb_info > info:
+        return StealthOptimum(lam_bsa, fb_gamma, fb_info, fb_z, constrained=True)
+    return StealthOptimum(lam, gamma, info, z, constrained=True)
+
+
+_DISTANCES = np.arange(501) * 0.5  # 0-250 km
+
+
+@functools.cache
+def _reference_rows(mu, n_pulses):
+    """(t_ab, t_e, fields of the reference optimum) per distance, at
+    t_e = max(eve_t_e, t_ab) as the rate curves use it."""
+    cfg = Settings().system()
+    rows = []
+    for d in _DISTANCES.tolist():
+        t_ab = cfg.t_ab(d)
+        t_e = max(cfg.eve_t_e(d), t_ab)
+        opt = reference_max_stealth_info(mu, t_ab, t_e, 0.1, n_pulses)
+        rows.append((t_ab, t_e, opt.lam, opt.gamma, opt.info, opt.z_score, opt.constrained))
+    return np.array(rows)
+
+
+# Below mu = 0.9 no row has the pure beam-splitting point beat the grid.
+_WINDOWS = [(mu, n) for mu in (0.05, 0.1, 0.5, 0.9) for n in (1e4, 1e8, 1e10, 1e14)]
+
+
+@pytest.mark.parametrize("mu,n_pulses", _WINDOWS)
+def test_array_optimum_matches_the_scalar_reference(mu, n_pulses):
+    t_ab, t_e, lam, gamma, info, z, constrained = _reference_rows(mu, n_pulses).T
+    got = max_stealth_info(mu, t_ab, t_e, 0.1, n_pulses)
+    assert got.lam.shape == t_ab.shape
+    np.testing.assert_array_equal(got.constrained, constrained.astype(bool))
+    np.testing.assert_allclose(got.lam, lam, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.gamma, gamma, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.info, info, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.z_score, z, rtol=0, atol=1e-9)
+
+
+def test_reference_rows_cover_every_branch():
+    t_ab, t_e, lam, _, info, z, constrained = np.vstack(
+        [_reference_rows(mu, n) for mu, n in _WINDOWS]).T
+    constrained = constrained.astype(bool)
+    on_grid = lam == np.round(lam / 1e-3) * 1e-3
+    on_contour = np.abs(z - 2.0) < 1e-6
+    identity = t_e == t_ab
+    assert identity.any() and np.all(info[identity] == 0.0)
+    branches = {
+        "unconstrained fallback": ~constrained & ~identity,
+        "grid optimum": constrained & on_grid,
+        "refined contour point": constrained & ~on_grid & on_contour,
+        "fallback beats the grid": constrained & ~on_grid & ~on_contour,
+    }
+    assert {name: int(rows.sum()) for name, rows in branches.items() if not rows.any()} == {}
 
 
 class TestGammaSweep:
