@@ -141,7 +141,7 @@ def net_rate(distance_km: float, eve: EveModel, cfg: SystemConfig) -> RatePoint:
 def unlimited_info(mu: float, distance_km: float, cfg: SystemConfig) -> float:
     """Multiphoton fraction of the clicks, all of it assumed known to Eve;
     elementwise in mu and distance."""
-    p_multi = 1.0 - np.exp(-mu) * (1.0 + mu)
+    p_multi = -np.expm1(-mu) - mu * np.exp(-mu)  # no cancellation at small mu
     clicks = mu * cfg.t_ab(distance_km) * cfg.detector.eta_b
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(clicks > 0, np.minimum(1.0, p_multi / clicks), 1.0)[()]

@@ -1,4 +1,5 @@
 """Unit tests for the QBER budget, net rate, and distance solvers."""
+import decimal
 import math
 
 import numpy as np
@@ -166,6 +167,17 @@ class TestLuetkenhaus:
         assert (mu**2 / 2) / (mu * t * cfg.detector.eta_b) == pytest.approx(1.0)
         # exact Poisson numerator is a shade below one
         assert unlimited_info(mu, d, cfg) == pytest.approx(0.9358, abs=1e-3)
+
+    def test_multiphoton_probability_keeps_its_digits_at_small_mu(self):
+        # mu = 5.3756e-5 is the optimum at 130 km without dark counts, where
+        # 1 - e^-mu (1 + mu) loses about seven digits to cancellation.
+        mu, d, cfg = 5.3756e-5, 100.0, make_cfg()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            m = decimal.Decimal(mu)
+            p_multi = float(1 - (-m).exp() * (1 + m))
+        clicks = mu * cfg.t_ab(d) * cfg.detector.eta_b
+        assert unlimited_info(mu, d, cfg) == pytest.approx(p_multi / clicks, rel=1e-12)
 
     def test_mu_opt_strictly_decreasing_with_distance(self):
         cfg = make_cfg()
