@@ -308,15 +308,16 @@ def _block_edge_kwargs(case):
 
 def _golden_kwargs(case):
     """Small fixed-seed runs whose tallies are stored under tests/data: no
-    Eve with dark counts, strategy A blind-filling at 0 km (dense), strategy
-    A with attack_fraction < 1 (the intercept and channel columns) and
-    strategy B with a shutter."""
+    Eve with dark counts, strategy A blind-filling at 0 km (dense), alone and
+    with attack_fraction < 1, strategy A with attack_fraction < 1 at 20 km
+    (the intercept and channel columns) and strategy B with a shutter."""
     system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
     if case == "none_dark":
         return dict(system=system, eve_model=EveModel.NONE, distance_km=20.0)
-    if case == "strategy_a_0km":
+    if case.startswith("strategy_a_0km"):
         return dict(system=make_system(mu=0.2, length=0.0, p_dark=1e-3, qber_opt=0.005),
-                    eve_model=EveModel.STRATEGY_A, distance_km=0.0)
+                    eve_model=EveModel.STRATEGY_A, distance_km=0.0,
+                    attack_fraction=0.6 if case.endswith("_fraction") else 1.0)
     if case == "strategy_a_fraction":
         return dict(system=system, eve_model=EveModel.STRATEGY_A, distance_km=20.0,
                     attack_fraction=0.6)
@@ -325,7 +326,8 @@ def _golden_kwargs(case):
                 attack=BeamsplitAttack(lam=0.2, gamma=0.3, t_e=0.9))
 
 
-GOLDEN_CASES = ("none_dark", "strategy_a_0km", "strategy_a_fraction", "strategy_b_gamma")
+GOLDEN_CASES = ("none_dark", "strategy_a_0km", "strategy_a_0km_fraction",
+                "strategy_a_fraction", "strategy_b_gamma")
 
 
 def golden_csv(case, workers):
