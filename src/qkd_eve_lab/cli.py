@@ -167,7 +167,8 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
     t_ab = system.t_ab(distance)
     t_e = _eve_t_e(settings, distance)
     rows = strategy_b.gamma_sweep(
-        settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses)
+        settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses),
+        mode=system.basis_mode,
     )
     clean = settings.n_pulses * strategy_b.clean_coinc_ref(
         settings.mu, t_ab, settings.eta_b, system.basis_mode

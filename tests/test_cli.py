@@ -141,6 +141,17 @@ class TestStrategyBCommand:
         assert lines[0] == "gamma,expected_coincidences,z_score,info"
         assert len(lines) > 10
 
+    def test_passive_pure_splitting_row_matches_the_clean_header(self, tmp_path):
+        # At gamma = 1 the shutter is always open, so the expected
+        # coincidences are the clean ones under the same basis mode.
+        out = tmp_path / "fig4.csv"
+        assert main(["strategy-b", "--out", str(out),
+                     "--set", "protocol.basis_mode=passive"]) == 0
+        text = out.read_text().splitlines()
+        clean = next(l for l in text if l.startswith("# expected_coincidences_clean = "))
+        row = next(l for l in text if l.startswith("1.000000,"))
+        assert row.split(",")[1] == clean.split(" = ")[1]
+
 
 class TestStatsCommand:
     def test_table_written(self, tmp_path):
