@@ -18,7 +18,13 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   process, are placed the same way from ``_COL_DARK_0`` / ``_COL_DARK_1``.
 * The channel and eavesdropper columns draw one uniform per active pulse,
   in pulse order: the occupied and dark-count pulses, or the whole block
-  when strategy A resends vacuum pulses as blind states.
+  when strategy A resends vacuum pulses as blind states.  Such a
+  blind-filled block draws ``_COL_EVE_SPLIT``, ``_COL_EVE_AUX``,
+  ``_COL_EVE_USE``, ``_COL_EVE_ERR`` and, when ``attack_fraction`` < 1,
+  ``_COL_EVE_INTERCEPT`` and ``_COL_CHANNEL`` for every pulse, but reads a
+  vacuum pulse's uniform only for interception, the blind resend
+  (``_COL_EVE_USE``) and its random bit (``_COL_EVE_ERR``); the photon-number
+  cases are computed on the occupied pulses alone.
 * The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
   ``_COL_QBER_FLIP``) draw one uniform per pulse, in pulse order, only
   where a photon reaches Bob's detectors or a detector fires a dark count.
@@ -153,10 +159,10 @@ def _binomial_from_u(
     ``searchsorted(row, u, side="right")`` capped at n gives.  A row is
     non-decreasing up to column n, so a draw stops at its first entry above
     u, and each pass gathers only the draws still counting.  Row 0 is 1.0,
-    above every u.
+    above every u.  The draws have the dtype of ``n``.
     """
     hit = cdf_table[:, 0].take(n) <= u
-    k = hit.astype(np.int64)
+    k = hit.astype(n.dtype)
     at = np.flatnonzero(hit & (n > 1))
     j = 1
     while at.size:
@@ -349,10 +355,12 @@ class _Tables:
 def _occupied_pulses(streams: _Streams, block: int, length: int,
                      tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices in [0, length) of the occupied pulses of ``block`` and
-    their photon numbers, by inversion of ``tables.photons``, one uniform each."""
+    their photon numbers as int8, by inversion of ``tables.photons``, one
+    uniform each."""
     at = _bernoulli_positions(streams, _COL_N, block, length, tables.occupied)
-    u = streams.uniforms(_COL_PHOTONS, block, at.size)
-    return at, np.minimum(np.searchsorted(tables.photons, u, side="right"), PHOTON_CAP)
+    n = np.searchsorted(tables.photons, streams.uniforms(_COL_PHOTONS, block, at.size),
+                        side="right")
+    return at, np.minimum(n, PHOTON_CAP, out=n).astype(np.int8)
 
 
 def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
@@ -368,89 +376,81 @@ def _simulate_block(
     count = min(BLOCK, cfg.n_pulses - block * BLOCK)
     system: SystemConfig = cfg.system
 
-    occupied, n_occupied = _occupied_pulses(streams, block, count, tables)
+    # The m active pulses are those that may click.  pos locates the occupied
+    # pulses, first in the block, then among the active pulses.
+    pos, n = _occupied_pulses(streams, block, count, tables)
     dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
     if policy is not None and policy.blind_prob > 0:
-        # Vacuum pulses are resent as blind states, so any pulse may click.
-        active = np.arange(count)
+        m = count  # vacuum pulses are resent as blind states
     elif dark_at[0].size or dark_at[1].size:
-        active = np.sort(np.concatenate([occupied, *dark_at]))
+        active = np.sort(np.concatenate([pos, *dark_at]))
         active = active[np.diff(active, prepend=-1) > 0]
+        m = active.size
+        pos, *dark_at = (np.searchsorted(active, at) for at in (pos, *dark_at))
     else:
-        active = occupied
-    m = active.size
+        m, pos = pos.size, slice(None)
+    dark0, dark1 = np.zeros((2, m), dtype=bool)
+    dark0[dark_at[0]] = True
+    dark1[dark_at[1]] = True
 
     def uniforms(column: int, size: int = m) -> np.ndarray:
         return streams.uniforms(column, block, size)
 
-    n = n_occupied
-    if m > occupied.size:
-        n = np.zeros(m, dtype=np.int64)
-        n[np.searchsorted(active, occupied)] = n_occupied
-    dark0, dark1 = np.zeros((2, m), dtype=bool)
-    dark0[np.searchsorted(active, dark_at[0])] = True
-    dark1[np.searchsorted(active, dark_at[1])] = True
+    def decide(column: int, p_vacuum: float, p_occupied) -> np.ndarray:
+        """u < p per active pulse, one uniform each from ``column``, with p
+        ``p_vacuum`` on vacuum pulses and ``p_occupied`` on occupied ones."""
+        u = uniforms(column)
+        out = u < p_vacuum
+        out[pos] = u[pos] < p_occupied
+        return out
 
     eve_knows = np.zeros(m, dtype=bool)
-    # Per-pulse probability that the sifted bit (if any) disagrees with
-    # Alice before the optical-misalignment flip; realized by one uniform.
+    # Whether the sifted bit (if any) disagrees with Alice before the
+    # optical-misalignment flip.
     resend_error = np.zeros(m, dtype=bool)
 
     if cfg.eve_model is EveModel.STRATEGY_A:
+        # Photon-number cases of the occupied pulses only: A one photon, B
+        # photons in both of Eve's bases, D all in her wrong basis and on
+        # both of its detectors, C the rest.  She learns the bit whenever a
+        # photon is in her right basis; with none she resends a random bit.
         p = policy
-        k_right = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.half)
+        k_right = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT)[pos], tables.half)
         n_wrong = n - k_right
-        k_w0 = _binomial_from_u(n_wrong, uniforms(_COL_EVE_AUX), tables.half)
-
-        case_a = n == 1
-        both_bases = (k_right >= 1) & (n_wrong >= 1) & (n >= 2)
-        all_right = (k_right >= 1) & (n_wrong == 0) & (n >= 2)
-        wrong_same = (k_right == 0) & (n_wrong >= 1) & (n >= 2) & (
-            (k_w0 == 0) | (k_w0 == n_wrong)
-        )
-        wrong_both = (k_right == 0) & (n_wrong >= 2) & (n >= 2) & (
-            (k_w0 >= 1) & (k_w0 < n_wrong)
-        )
-
-        resend_p = np.zeros(m)
-        resend_p[case_a] = p.resend_prob[0]
-        resend_p[both_bases] = p.resend_prob[1]
-        resend_p[all_right | wrong_same] = p.resend_prob[2]
-        resend_p[wrong_both] = p.resend_prob[3]
-        resend_p[n == 0] = p.blind_prob
-
+        k_w0 = _binomial_from_u(n_wrong, uniforms(_COL_EVE_AUX)[pos], tables.half)
+        right = k_right > 0
+        both_bases = right & (n_wrong > 0)
+        prob_a, prob_b, prob_c, prob_d = p.resend_prob
+        resend = decide(_COL_EVE_USE, p.blind_prob, np.select(
+            [n == 1, both_bases, (k_w0 > 0) & (k_w0 < n_wrong)], [prob_a, prob_b, prob_d],
+            prob_c))
         if p.attack_fraction < 1.0:
             intercepted = uniforms(_COL_EVE_INTERCEPT) < p.attack_fraction
-        else:
-            intercepted = np.ones(m, dtype=bool)
-        resend = intercepted & (uniforms(_COL_EVE_USE) < resend_p)
-
-        err_p = np.zeros(m)
-        err_p[both_bases] = strategy_a.INTERMEDIATE_STATE_QBER
-        err_p[case_a & (k_right == 0)] = 0.5
-        err_p[wrong_same] = 0.5
-        err_p[wrong_both] = 0.5
-        err_p[n == 0] = 0.5
+            resend &= intercepted
+        resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.select(
+            [~right, both_bases], [0.5, strategy_a.INTERMEDIATE_STATE_QBER], 0.0))
+        eve_knows[pos] = resend[pos] & right
 
         # Resent pulses carry one fresh photon straight into the receiver;
         # pulses she left alone travel the installed fiber.
-        arrivals = resend.astype(np.int64)
+        arrivals = resend.view(np.int8)  # resend is not read again
         if p.attack_fraction < 1.0:
-            passed = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
-            arrivals = np.where(intercepted, arrivals, passed)
-        resend_error = resend & (uniforms(_COL_EVE_ERR) < err_p)
-        eve_knows = resend & (both_bases | (case_a & (k_right == 1)) | all_right)
-    elif cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
-        k_e = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.tap)
-        eve_detected = k_e >= 1
-        eve_basis_match = uniforms(_COL_EVE_AUX) < 0.5
-        shutter_open = eve_detected | (uniforms(_COL_EVE_USE) < cfg.attack.gamma)
-        arrivals = _binomial_from_u(n - k_e, uniforms(_COL_CHANNEL), tables.channel)
-        arrivals[~shutter_open] = 0
-        eve_knows = eve_detected & eve_basis_match
+            passed = _binomial_from_u(n, uniforms(_COL_CHANNEL)[pos], tables.channel)
+            arrivals[pos] = np.where(intercepted[pos], arrivals[pos], passed)
     else:
-        arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
+        if m > n.size:  # pulses with a dark count alone carry no photon
+            n_occupied, n = n, np.zeros(m, dtype=n.dtype)
+            n[pos] = n_occupied
+        if cfg.eve_model is EveModel.NONE:
+            arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
+        else:
+            k_e = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.tap)
+            eve_detected = k_e > 0
+            eve_knows = eve_detected & (uniforms(_COL_EVE_AUX) < 0.5)
+            shutter_open = eve_detected | (uniforms(_COL_EVE_USE) < cfg.attack.gamma)
+            arrivals = _binomial_from_u(n - k_e, uniforms(_COL_CHANNEL), tables.channel)
+            arrivals[~shutter_open] = 0
 
     # Receiver, only where a photon or a dark count arrives: no other pulse can click.
     at = np.flatnonzero((arrivals > 0) | dark0 | dark1)
@@ -464,12 +464,11 @@ def _simulate_block(
     alice_bit = uniforms(_COL_ALICE_BIT, r) < 0.5
     received_bit = alice_bit ^ resend_error
 
-    # Signal photons per detector of the chosen basis.
-    sig0 = np.where(bob_right, np.where(received_bit, 0, k_det), k_split0)
-    sig1 = np.where(bob_right, np.where(received_bit, k_det, 0), k_det - k_split0)
-
-    click0 = (sig0 > 0) | dark0
-    click1 = (sig1 > 0) | dark1
+    # In Alice's basis every detected photon fires the received bit's
+    # detector; in the other basis each picks a detector at random.
+    detected = k_det > 0
+    click0 = np.where(bob_right, detected & ~received_bit, k_split0 > 0) | dark0
+    click1 = np.where(bob_right, detected & received_bit, k_split0 < k_det) | dark1
     any_click = click0 | click1
     double = click0 & click1
 

@@ -7,6 +7,7 @@ is used.  The full 1e8 oracle run lives in the acceptance suite.
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,26 @@ class TestGoldenTallies:
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_tallies_are_byte_identical(self, case, workers):
         assert golden_csv(case, workers) == (DATA / f"mc_{case}.csv").read_text()
+
+
+class TestBlockMemory:
+    def test_dense_strategy_a_peak_allocation(self):
+        """A blind-filled block computes strategy A on its occupied pulses
+        only and keeps counts narrow, so a 4-block run peaks below 3 MB
+        under tracemalloc; int64 and float64 temporaries over whole blocks
+        would take about 5.7 MB."""
+        cfg = SimConfig(system=make_system(mu=0.2, length=0.0, eta=1.0, qber_opt=0.005),
+                        eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=4 * BLOCK,
+                        seed=3)
+        assert montecarlo._strategy_a_policy(cfg).blind_prob > 0
+        simulate(cfg)  # warm-up: the binomial tables are cached
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestDeterminism:
