@@ -514,7 +514,8 @@ def simulate(cfg: SimConfig) -> SimResult:
             _chunk_ranges(cfg.n_pulses, cfg.batch_size)]
     total = SimResult()
     if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # The pool starts all its workers at once, so start no idle ones.
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             for part in pool.map(_simulate_chunk, jobs):
                 total = total + part
     else:

@@ -402,6 +402,28 @@ class TestDeterminism:
         assert serial == parallel
         assert serial.csv_lines() == parallel.csv_lines()
 
+    def test_pool_starts_no_idle_workers(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        kwargs = dict(system=make_system(), eve_model=EveModel.NONE, n_pulses=2 * BLOCK,
+                      seed=9, batch_size=BLOCK)
+        assert simulate(SimConfig(workers=4, **kwargs)) == simulate(SimConfig(**kwargs))
+        simulate(SimConfig(workers=2, **dict(kwargs, n_pulses=3 * BLOCK)))
+        assert sizes == [2, 2]
+
     def test_different_seeds_differ(self):
         cfg_a = SimConfig(system=make_system(), eve_model=EveModel.NONE,
                           n_pulses=300_000, seed=1)
