@@ -27,7 +27,8 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
         speed = 2.0 if side == "change" else 1.0
         if seed == 3:
             speed = 0.5  # a tie: the change does not win this pair
-        return {"environment": {"seed": seed}, "correct": True, "attempted": 3, "failed": 0,
+        return {"environment": {"seed": seed}, "minor_faults": 100 * seed + len(side),
+                "correct": True, "attempted": 3, "failed": 0,
                 "metrics": {"wall_s": {"value": 1.0 / speed, "unit": "s"},
                             "mpulses_per_s": {"value": speed, "unit": "Mpulses/s"}}}
 
@@ -47,6 +48,23 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     assert report["change_wins"] == {"wall_s": 3, "mpulses_per_s": 3}
     assert report["parent"]["wall_s"]["values"] == [1.0, 1.0, 1.0, 2.0]
     assert report["median_ratio"]["mpulses_per_s"] == 2.0
+    assert report["parent"]["minor_faults"]["values"] == [6, 106, 206, 306]
+    assert report["change"]["minor_faults"]["median"] == 156.0
+    assert "minor_faults" not in report["change_wins"]
+
+
+def test_run_counts_the_minor_faults_of_the_run(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "pages = bytearray(16 * 2**20)  # zero pages, touched below\n"
+        "pages[::4096] = b'x' * len(range(0, len(pages), 4096))\n"
+        "print('environment: {\"cpus\": 2}')\n"
+        "print(json.dumps({'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    result = bench_pairs.run_bench(tmp_path, ["--seed", "0"])
+    assert result["environment"] == {"cpus": 2}
+    assert result["attempted"] == 1
+    assert result["minor_faults"] >= 16 * 2**20 // 4096
 
 
 def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
@@ -64,8 +82,8 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
                        "montecarlo.photon_fraction.mc_dense": {"value": 0.3, "unit": "fraction"},
                        "keyrate.curve_ms.none": {"value": 2.0 * seed, "unit": "ms"},
                        "verify.checks": {"value": 23, "unit": "count"}}
-        return {"environment": {}, "correct": True, "attempted": 1, "failed": 0,
-                "metrics": metrics}
+        return {"environment": {}, "minor_faults": 0, "correct": True, "attempted": 1,
+                "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     for side in ("parent", "change"):

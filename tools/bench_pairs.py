@@ -10,7 +10,10 @@ alike.  Run length and the end-to-end metrics, with which way is better,
 come from the change tree's ``BENCHMARK.json``.  For each side and metric
 the output gives the median, the quartiles and every value, the ratio of
 the medians (change over parent) and the number of pairs the change won
-(ties count for neither side).  ``--traced N`` adds N traced runs
+(ties count for neither side).  Each side also gets the median and
+quartiles of ``minor_faults``: the minor page faults of each run, the
+``RUSAGE_CHILDREN`` delta around it, which covers the pool workers it
+waited for.  ``--traced N`` adds N traced runs
 (``--trace 1``) per tree, alternating the same way with seed SEED+i in run
 i, and gives the median and quartiles of each Monte Carlo and analytic
 layer metric: one traced pass cannot resolve a change of 20% in one
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -32,14 +36,16 @@ TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.", "
 
 
 def run_bench(tree: Path, args: list[str]) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its environment line and
-    the JSON object of its last line."""
+    """One ``perfbench/run.py`` run in ``tree``: its environment line, the
+    JSON object of its last line and its minor page faults."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
                           capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
-    return {"environment": env, **json.loads(lines[-1])}
+    return {"environment": env, "minor_faults": faults, **json.loads(lines[-1])}
 
 
 def summary(values: list[float]) -> dict:
@@ -66,7 +72,7 @@ def bench_workload(trees: dict, workload: str, seed: int, pairs: int,
            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
            "change_wins": {}, "median_ratio": {}}
     for side in SIDES:
-        out[side] = {}
+        out[side] = {"minor_faults": summary([r["minor_faults"] for r in runs[side]])}
     for name, better in metrics.items():
         if name not in runs["parent"][0]["metrics"]:
             continue
