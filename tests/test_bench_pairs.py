@@ -57,8 +57,7 @@ def test_run_counts_the_minor_faults_of_the_run(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json\n"
-        "pages = bytearray(16 * 2**20)  # zero pages, touched below\n"
-        "pages[::4096] = b'x' * len(range(0, len(pages), 4096))\n"
+        "pages = b'x' * (16 * 2**20)  # writes 4096 fresh pages\n"
         "print('environment: {\"cpus\": 2}')\n"
         "print(json.dumps({'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
     result = bench_pairs.run_bench(tmp_path, ["--seed", "0"])
