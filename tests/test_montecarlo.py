@@ -309,12 +309,22 @@ def _block_edge_kwargs(case):
 
 def _golden_kwargs(case):
     """Small fixed-seed runs whose tallies are stored under tests/data: no
-    Eve with dark counts, strategy A blind-filling at 0 km (dense), alone and
-    with attack_fraction < 1, strategy A with attack_fraction < 1 at 20 km
-    (the intercept and channel columns) and strategy B with a shutter."""
+    Eve with dark counts, and in the ideal limits (0 km, a perfect detector,
+    no dark counts); strategy A blind-filling at 0 km (dense), alone and
+    with attack_fraction < 1; strategy A with attack_fraction < 1 at 20 km
+    (the intercept and channel columns); strategy B with a shutter, and pure
+    beam splitting over a lossless link at 0 km with a perfect detector."""
     system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
     if case == "none_dark":
         return dict(system=system, eve_model=EveModel.NONE, distance_km=20.0)
+    if case == "none_perfect":
+        return dict(system=make_system(mu=0.5, length=0.0, eta=1.0, qber_opt=0.005),
+                    eve_model=EveModel.NONE, distance_km=0.0)
+    if case == "strategy_b_certain":
+        return dict(system=make_system(mu=0.5, length=0.0, eta=1.0, p_dark=1e-3,
+                                       qber_opt=0.005),
+                    eve_model=EveModel.STRATEGY_B, distance_km=0.0,
+                    attack=BeamsplitAttack(lam=0.5, gamma=1.0, t_e=1.0))
     if case.startswith("strategy_a_0km"):
         return dict(system=make_system(mu=0.2, length=0.0, p_dark=1e-3, qber_opt=0.005),
                     eve_model=EveModel.STRATEGY_A, distance_km=0.0,
@@ -327,8 +337,8 @@ def _golden_kwargs(case):
                 attack=BeamsplitAttack(lam=0.2, gamma=0.3, t_e=0.9))
 
 
-GOLDEN_CASES = ("none_dark", "strategy_a_0km", "strategy_a_0km_fraction",
-                "strategy_a_fraction", "strategy_b_gamma")
+GOLDEN_CASES = ("none_dark", "none_perfect", "strategy_a_0km", "strategy_a_0km_fraction",
+                "strategy_a_fraction", "strategy_b_gamma", "strategy_b_certain")
 
 
 def golden_csv(case, workers):
