@@ -28,6 +28,17 @@ stream is per pulse: cost scales with the pulses that carry light or click.
 * The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
   ``_COL_QBER_FLIP``) draw one uniform per pulse, in pulse order, only
   where a photon reaches Bob's detectors or a detector fires a dark count.
+* A decision whose outcome is certain reads no uniform: Binomial(n, 1) is
+  n, Binomial(n, 0) is 0, u < 1 always holds and u < 0 never does.  So
+  ``_COL_QBER_FLIP`` is not drawn at ``qber_opt`` = 0, ``_COL_DARK_0`` and
+  ``_COL_DARK_1`` at ``p_dark`` in {0, 1}, ``_COL_CHANNEL`` at t_ab = 1 (or
+  t_e = 1 under strategy B), ``_COL_BOB_DETECT`` at eta_b = 1,
+  ``_COL_EVE_USE`` under strategy B at gamma in {0, 1}, ``_COL_EVE_SPLIT``
+  under strategy B at lambda in {0, 1}, and ``_COL_EVE_INTERCEPT`` at
+  ``attack_fraction`` in {0, 1}.  Every other column keeps its draws, so
+  the tallies are the same either way.  Likewise a block without dark
+  counts builds no dark-count masks, and a run without an eavesdropper no
+  record of what she knows or alters.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
   of whole blocks; only the last block of a run may be partial.
 * Streams are repositioned, not rebuilt.  A chunk holds one Philox
@@ -323,14 +334,12 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Inverse-CDF tables of one configuration."""
+    """The photon-number table and the channel probability of one
+    configuration; binomial draws read ``_binomial_cdf_table``'s tables."""
 
     occupied: float  # P(n >= 1) = 1 - e^-mu
     photons: np.ndarray  # zero-truncated Poisson(mu) CDF over n = 0..PHOTON_CAP
-    half: np.ndarray  # Binomial(n, 1/2)
-    channel: np.ndarray  # Binomial(n, t): t_ab, or Eve's link t_e under strategy B
-    tap: np.ndarray | None  # Binomial(n, lambda), strategy B only
-    detect: np.ndarray  # Binomial(n, eta_b)
+    channel: float  # t_ab, or Eve's link t_e under strategy B
 
     @classmethod
     def build(cls, cfg: SimConfig) -> "_Tables":
@@ -343,12 +352,7 @@ class _Tables:
         return cls(
             occupied=occupied,
             photons=np.cumsum(pmf) / occupied,
-            half=_binomial_cdf_table(0.5),
-            channel=_binomial_cdf_table(
-                cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance)
-            ),
-            tap=_binomial_cdf_table(cfg.attack.lam) if beamsplit else None,
-            detect=_binomial_cdf_table(system.detector.eta_b),
+            channel=cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance),
         )
 
 
@@ -381,21 +385,43 @@ def _simulate_block(
     pos, n = _occupied_pulses(streams, block, count, tables)
     dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
+    any_dark = bool(dark_at[0].size or dark_at[1].size)
     if policy is not None and policy.blind_prob > 0:
         m = count  # vacuum pulses are resent as blind states
-    elif dark_at[0].size or dark_at[1].size:
+    elif any_dark:
         active = np.sort(np.concatenate([pos, *dark_at]))
         active = active[np.diff(active, prepend=-1) > 0]
         m = active.size
         pos, *dark_at = (np.searchsorted(active, at) for at in (pos, *dark_at))
     else:
         m, pos = pos.size, slice(None)
-    dark0, dark1 = np.zeros((2, m), dtype=bool)
-    dark0[dark_at[0]] = True
-    dark1[dark_at[1]] = True
+    # Each detector's dark counts over the active pulses; no rows without any.
+    darks = np.zeros((2 if any_dark else 0, m), dtype=bool)
+    for dark, at in zip(darks, dark_at):
+        dark[at] = True
 
+    # A decision whose outcome is certain reads no uniform: Binomial(n, 1) is
+    # n and Binomial(n, 0) is 0, u < 1 always holds and u < 0 never does.
+    # Each column owns its stream, so skipping one moves no other draw.
     def uniforms(column: int, size: int = m) -> np.ndarray:
         return streams.uniforms(column, block, size)
+
+    def binomial(column: int, n: np.ndarray, p: float,
+                 at: np.ndarray | slice | None = None) -> np.ndarray:
+        """Binomial(n, p) per entry of ``n``, one uniform each from
+        ``column``; with ``at``, ``n`` holds the active pulses ``at`` and
+        reads their uniforms among the m.  At p = 1 this is ``n`` itself."""
+        if not 0.0 < p < 1.0:
+            return n if p >= 1.0 else np.zeros_like(n)
+        u = uniforms(column, n.size) if at is None else uniforms(column)[at]
+        return _binomial_from_u(n, u, _binomial_cdf_table(p))
+
+    def chance(column: int, p: float, size: int = m) -> np.ndarray:
+        """u < p per pulse, one uniform each from ``column``; a certain
+        outcome is one read-only bool broadcast over the pulses."""
+        if not 0.0 < p < 1.0:
+            return np.broadcast_to(p >= 1.0, size)
+        return uniforms(column, size) < p
 
     def decide(column: int, p_vacuum: float, p_occupied) -> np.ndarray:
         """u < p per active pulse, one uniform each from ``column``, with p
@@ -405,10 +431,10 @@ def _simulate_block(
         out[pos] = u[pos] < p_occupied
         return out
 
-    eve_knows = np.zeros(m, dtype=bool)
-    # Whether the sifted bit (if any) disagrees with Alice before the
-    # optical-misalignment flip.
-    resend_error = np.zeros(m, dtype=bool)
+    # Arrays only where an eavesdropper acts: whether she knows the sifted
+    # bit, and whether the bit she resends disagrees with Alice's before
+    # the optical-misalignment flip.
+    eve_knows = resend_error = None
 
     if cfg.eve_model is EveModel.STRATEGY_A:
         # Photon-number cases of the occupied pulses only: A one photon, B
@@ -416,67 +442,70 @@ def _simulate_block(
         # both of its detectors, C the rest.  She learns the bit whenever a
         # photon is in her right basis; with none she resends a random bit.
         p = policy
-        k_right = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT)[pos], tables.half)
+        k_right = binomial(_COL_EVE_SPLIT, n, 0.5, at=pos)
         n_wrong = n - k_right
-        k_w0 = _binomial_from_u(n_wrong, uniforms(_COL_EVE_AUX)[pos], tables.half)
+        k_w0 = binomial(_COL_EVE_AUX, n_wrong, 0.5, at=pos)
         right = k_right > 0
         both_bases = right & (n_wrong > 0)
         prob_a, prob_b, prob_c, prob_d = p.resend_prob
         resend = decide(_COL_EVE_USE, p.blind_prob, np.select(
             [n == 1, both_bases, (k_w0 > 0) & (k_w0 < n_wrong)], [prob_a, prob_b, prob_d],
             prob_c))
-        if p.attack_fraction < 1.0:
-            intercepted = uniforms(_COL_EVE_INTERCEPT) < p.attack_fraction
-            resend &= intercepted
+        intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction)
+        resend &= intercepted
         resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.select(
             [~right, both_bases], [0.5, strategy_a.INTERMEDIATE_STATE_QBER], 0.0))
+        eve_knows = np.zeros(m, dtype=bool)
         eve_knows[pos] = resend[pos] & right
 
         # Resent pulses carry one fresh photon straight into the receiver;
         # pulses she left alone travel the installed fiber.
         arrivals = resend.view(np.int8)  # resend is not read again
         if p.attack_fraction < 1.0:
-            passed = _binomial_from_u(n, uniforms(_COL_CHANNEL)[pos], tables.channel)
+            passed = binomial(_COL_CHANNEL, n, tables.channel, at=pos)
             arrivals[pos] = np.where(intercepted[pos], arrivals[pos], passed)
     else:
         if m > n.size:  # pulses with a dark count alone carry no photon
             n_occupied, n = n, np.zeros(m, dtype=n.dtype)
             n[pos] = n_occupied
         if cfg.eve_model is EveModel.NONE:
-            arrivals = _binomial_from_u(n, uniforms(_COL_CHANNEL), tables.channel)
+            arrivals = binomial(_COL_CHANNEL, n, tables.channel)
         else:
-            k_e = _binomial_from_u(n, uniforms(_COL_EVE_SPLIT), tables.tap)
+            k_e = binomial(_COL_EVE_SPLIT, n, cfg.attack.lam)
             eve_detected = k_e > 0
-            eve_knows = eve_detected & (uniforms(_COL_EVE_AUX) < 0.5)
-            shutter_open = eve_detected | (uniforms(_COL_EVE_USE) < cfg.attack.gamma)
-            arrivals = _binomial_from_u(n - k_e, uniforms(_COL_CHANNEL), tables.channel)
+            eve_knows = eve_detected & chance(_COL_EVE_AUX, 0.5)
+            shutter_open = eve_detected | chance(_COL_EVE_USE, cfg.attack.gamma)
+            arrivals = binomial(_COL_CHANNEL, n - k_e, tables.channel)
             arrivals[~shutter_open] = 0
 
     # Receiver, only where a photon or a dark count arrives: no other pulse can click.
-    at = np.flatnonzero((arrivals > 0) | dark0 | dark1)
+    reach = arrivals > 0
+    for dark in darks:
+        reach |= dark
+    at = np.flatnonzero(reach)
     r = at.size
-    arrivals, dark0, dark1 = arrivals[at], dark0[at], dark1[at]
-    resend_error, eve_knows = resend_error[at], eve_knows[at]
-    bob_right = uniforms(_COL_BOB_BASIS, r) < 0.5  # his basis equals Alice's
-    k_det = _binomial_from_u(arrivals, uniforms(_COL_BOB_DETECT, r), tables.detect)
-    k_split0 = _binomial_from_u(k_det, uniforms(_COL_BOB_SPLIT, r), tables.half)
+    arrivals = arrivals[at]
+    bob_right = chance(_COL_BOB_BASIS, 0.5, r)  # his basis equals Alice's
+    k_det = binomial(_COL_BOB_DETECT, arrivals, system.detector.eta_b)
+    k_split0 = binomial(_COL_BOB_SPLIT, k_det, 0.5)
 
-    alice_bit = uniforms(_COL_ALICE_BIT, r) < 0.5
-    received_bit = alice_bit ^ resend_error
+    alice_bit = chance(_COL_ALICE_BIT, 0.5, r)
+    received_bit = alice_bit if resend_error is None else alice_bit ^ resend_error[at]
 
     # In Alice's basis every detected photon fires the received bit's
     # detector; in the other basis each picks a detector at random.
     detected = k_det > 0
-    click0 = np.where(bob_right, detected & ~received_bit, k_split0 > 0) | dark0
-    click1 = np.where(bob_right, detected & received_bit, k_split0 < k_det) | dark1
+    click0 = np.where(bob_right, detected & ~received_bit, k_split0 > 0)
+    click1 = np.where(bob_right, detected & received_bit, k_split0 < k_det)
+    for click, dark in zip((click0, click1), darks):
+        click |= dark[at]
     any_click = click0 | click1
     double = click0 & click1
 
     sifted = bob_right & any_click & ~double
-    bob_bit = click1  # exactly one detector clicked on sifted pulses
-    if system.qber_opt > 0:
-        bob_bit = bob_bit ^ (uniforms(_COL_QBER_FLIP, r) < system.qber_opt)
-    errors = sifted & (bob_bit != alice_bit)
+    # Exactly one detector clicked on sifted pulses: Bob's bit is click1.
+    flipped = click1 ^ chance(_COL_QBER_FLIP, system.qber_opt, r)
+    errors = sifted & (flipped != alice_bit)
 
     return SimResult(
         n_pulses=count,
@@ -485,7 +514,7 @@ def _simulate_block(
         coincidences_all=int(np.count_nonzero(double)),
         sifted=int(np.count_nonzero(sifted)),
         errors=int(np.count_nonzero(errors)),
-        eve_known=int(np.count_nonzero(sifted & eve_knows)),
+        eve_known=0 if eve_knows is None else int(np.count_nonzero(sifted & eve_knows[at])),
     )
 
 

@@ -27,10 +27,14 @@ from qkd_eve_lab.core_stats import (
 )
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
+    _COL_BOB_DETECT,
+    _COL_CHANNEL,
     _COL_DARK_0,
     _COL_DARK_1,
+    _COL_EVE_USE,
     _COL_N,
     _COL_PHOTONS,
+    _COL_QBER_FLIP,
     BLOCK,
     FAMILY_ALPHA,
     PHOTON_CAP,
@@ -355,6 +359,49 @@ class TestGoldenTallies:
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_tallies_are_byte_identical(self, case, workers):
         assert golden_csv(case, workers) == (DATA / f"mc_{case}.csv").read_text()
+
+
+class TestCertainDecisions:
+    """A decision whose outcome is certain draws no uniform from its column:
+    the channel at t = 1, the detector at eta_b = 1, the shutter at gamma =
+    1, the optical flip at qber_opt = 0 and the dark counts at p_dark = 0."""
+
+    SKIPPABLE = {_COL_CHANNEL, _COL_BOB_DETECT, _COL_EVE_USE, _COL_QBER_FLIP,
+                 _COL_DARK_0, _COL_DARK_1}
+
+    @staticmethod
+    def _drawn_columns(monkeypatch, eve_model, distance, eta, attack=None, **system):
+        drawn = set()
+        stream = _Streams.stream
+
+        def recording(self, column, block):
+            drawn.add(column)
+            return stream(self, column, block)
+
+        monkeypatch.setattr(_Streams, "stream", recording)
+        sim = simulate(SimConfig(system=make_system(mu=0.5, length=distance, eta=eta, **system),
+                                 eve_model=eve_model, attack=attack, distance_km=distance,
+                                 n_pulses=2 * BLOCK, seed=4))
+        assert sim.sifted > 0
+        return drawn
+
+    @pytest.mark.parametrize("eve_model, attack", [
+        (EveModel.NONE, None),
+        (EveModel.STRATEGY_B, BeamsplitAttack(lam=0.5, gamma=1.0, t_e=1.0)),
+    ])
+    def test_certain_columns_are_never_drawn(self, monkeypatch, eve_model, attack):
+        drawn = self._drawn_columns(monkeypatch, eve_model, 0.0, 1.0, attack)
+        assert not drawn & self.SKIPPABLE
+
+    def test_uncertain_columns_are_drawn(self, monkeypatch):
+        drawn = self._drawn_columns(monkeypatch, EveModel.STRATEGY_B, 20.0, 0.5,
+                                    BeamsplitAttack(lam=0.5, gamma=0.5, t_e=0.9),
+                                    p_dark=1e-3, qber_opt=0.005)
+        assert drawn >= self.SKIPPABLE
+
+    def test_no_eve_draws_its_lossy_channel(self, monkeypatch):
+        drawn = self._drawn_columns(monkeypatch, EveModel.NONE, 20.0, 0.5)
+        assert drawn >= {_COL_CHANNEL, _COL_BOB_DETECT}
 
 
 class TestBlockMemory:
