@@ -400,9 +400,8 @@ def _simulate_block(
     for dark, at in zip(darks, dark_at):
         dark[at] = True
 
-    # A decision whose outcome is certain reads no uniform: Binomial(n, 1) is
-    # n and Binomial(n, 0) is 0, u < 1 always holds and u < 0 never does.
-    # Each column owns its stream, so skipping one moves no other draw.
+    # A decision whose outcome is certain reads no uniform.  Each column owns
+    # its stream, so skipping one moves no other draw.
     def uniforms(column: int, size: int = m) -> np.ndarray:
         return streams.uniforms(column, block, size)
 
@@ -503,9 +502,9 @@ def _simulate_block(
     double = click0 & click1
 
     sifted = bob_right & any_click & ~double
-    # Exactly one detector clicked on sifted pulses: Bob's bit is click1.
-    flipped = click1 ^ chance(_COL_QBER_FLIP, system.qber_opt, r)
-    errors = sifted & (flipped != alice_bit)
+    # Exactly one detector clicked on sifted pulses.
+    bob_bit = click1 ^ chance(_COL_QBER_FLIP, system.qber_opt, r)
+    errors = sifted & (bob_bit != alice_bit)
 
     return SimResult(
         n_pulses=count,

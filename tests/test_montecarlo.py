@@ -393,15 +393,14 @@ class TestCertainDecisions:
         drawn = self._drawn_columns(monkeypatch, eve_model, 0.0, 1.0, attack)
         assert not drawn & self.SKIPPABLE
 
-    def test_uncertain_columns_are_drawn(self, monkeypatch):
-        drawn = self._drawn_columns(monkeypatch, EveModel.STRATEGY_B, 20.0, 0.5,
-                                    BeamsplitAttack(lam=0.5, gamma=0.5, t_e=0.9),
+    @pytest.mark.parametrize("eve_model, attack", [
+        (EveModel.NONE, None),
+        (EveModel.STRATEGY_B, BeamsplitAttack(lam=0.5, gamma=0.5, t_e=0.9)),
+    ])
+    def test_uncertain_columns_are_drawn(self, monkeypatch, eve_model, attack):
+        drawn = self._drawn_columns(monkeypatch, eve_model, 20.0, 0.5, attack,
                                     p_dark=1e-3, qber_opt=0.005)
-        assert drawn >= self.SKIPPABLE
-
-    def test_no_eve_draws_its_lossy_channel(self, monkeypatch):
-        drawn = self._drawn_columns(monkeypatch, EveModel.NONE, 20.0, 0.5)
-        assert drawn >= {_COL_CHANNEL, _COL_BOB_DETECT}
+        assert drawn >= self.SKIPPABLE - ({_COL_EVE_USE} if attack is None else set())
 
 
 class TestBlockMemory:
