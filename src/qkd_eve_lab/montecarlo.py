@@ -416,10 +416,9 @@ def _simulate_block(
         return _binomial_from_u(n, u, _binomial_cdf_table(p))
 
     def chance(column: int, p: float, size: int = m) -> np.ndarray:
-        """u < p per pulse, one uniform each from ``column``; a certain
-        outcome is one read-only bool broadcast over the pulses."""
+        """u < p per pulse, one uniform each from ``column``."""
         if not 0.0 < p < 1.0:
-            return np.broadcast_to(p >= 1.0, size)
+            return np.full(size, p >= 1.0)
         return uniforms(column, size) < p
 
     def decide(column: int, p_vacuum: float, p_occupied) -> np.ndarray:
