@@ -26,6 +26,8 @@ def bisect(inside: Callable[[np.ndarray], np.ndarray], lo, hi,
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         go = inside(mid)
+        if (mid == np.where(go, lo, hi)).all():
+            break  # no end moves, and no later halving would move one
         lo, hi = np.where(go, mid, lo), np.where(go, hi, mid)
     return lo[()], hi[()]
 

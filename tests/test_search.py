@@ -44,6 +44,28 @@ def test_bisect_equals_the_hand_written_loop():
     assert 0.5 * (lo + hi) == pytest.approx(math.log(5.0) / 3.0, rel=1e-15)
 
 
+def test_bisect_stops_once_no_end_moves():
+    # About 55 halvings bring [0, 1] down to two adjacent floats around the
+    # root; the rest of 200 would leave them as they are.  A root at the lower
+    # end moves hi toward 0 on every step, so that search runs all 200.
+    calls = []
+
+    def inside(x, level=np.array([0.2, 2.0])):
+        calls.append(x)
+        return np.exp(-3.0 * x) > level[: np.size(x)].reshape(np.shape(x))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if math.exp(-3.0 * mid) > 0.2 else (lo, mid)
+    assert bisect(inside, 0.0, 1.0, 200) == (lo, hi)
+    assert 50 < len(calls) < 60
+    calls.clear()
+    got_lo, got_hi = bisect(inside, [0.0, 0.0], [1.0, 1.0], 200)
+    assert got_lo.tolist() == [lo, 0.0] and got_hi.tolist() == [hi, 2.0**-200]
+    assert len(calls) == 200
+
+
 def test_bisect_zero_steps_returns_the_bracket():
     assert bisect(lambda x: True, 1.0, 2.0, 0) == (1.0, 2.0)
 
