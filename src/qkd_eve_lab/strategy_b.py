@@ -11,6 +11,11 @@ this module: the attacked link uses the modified distribution P'(n) and the
 clean reference uses the Poisson terms eta*P(1) and eta^2*P(2) of the same
 order, so the matching conditions close algebraically instead of up to
 second-order residuals.
+
+The tapped link is written once, elementwise, in :func:`_link`, which
+``photon_dist_prime``, ``photon_dist_prime_zero``, ``lambda_for_gamma``,
+``gamma_sweep`` and ``max_stealth_info`` share; so are the alarm z,
+:func:`_alarm_z`, and the credited information, :func:`_credited_info`.
 """
 from __future__ import annotations
 
@@ -70,27 +75,41 @@ def shutter_survival(attack: BeamsplitAttack, mu: float) -> float:
     return 1.0 - (1.0 - attack.gamma) * math.exp(-attack.lam * mu)
 
 
-def _bracket(mu: float, lam: float, gamma: float, t_e: float) -> float:
-    """Common factor (gamma - 1) e^{-mu + (1-lam)(1-t_e) mu} + e^{-mu (1-lam) t_e}.
+def _link(mu: float, lam, gamma, t_e):
+    """The tapped link, elementwise: (pass_f, m, gamma, bracket).
 
-    Equals exp(-m) * shutter_survival with m = (1-lam) mu t_e; evaluated in
-    the two-exponential form and checked non-negative.
+    pass_f = (1 - lam) t_e scales the mean photon number m = mu pass_f that
+    goes on to the receiver.  The bracket (gamma - 1) e_blocked + e_pass is
+    e^{-m} times the shutter survival, checked non-negative and clamped at 0.
+    ``gamma`` is the shutter setting, or a function of (pass_f, e_blocked,
+    e_pass) that solves it from the link; the gamma used is returned.
     """
     pass_f = (1.0 - lam) * t_e
-    e_blocked = math.exp(-mu * (lam + pass_f))
-    e_pass = math.exp(-mu * pass_f)
-    value = (gamma - 1.0) * e_blocked + e_pass
-    if value < _BRACKET_TOL:
+    m = mu * pass_f
+    e_blocked = np.exp(-mu * (lam + pass_f))
+    e_pass = np.exp(-m)
+    if callable(gamma):
+        gamma = gamma(pass_f, e_blocked, e_pass)
+    bracket = (gamma - 1.0) * e_blocked + e_pass
+    lowest = np.fmin.reduce(bracket, axis=None)  # skips the NaN of an unsolved gamma
+    if lowest < _BRACKET_TOL:
         raise ValueError(
-            f"photon distribution bracket is negative ({value}); "
+            f"photon distribution bracket is negative ({lowest}); "
             "invalid attack parameters or an implementation fault"
         )
-    return max(value, 0.0)
+    return pass_f, m, gamma, np.maximum(bracket, 0.0)
 
 
-def _singles_level(mu: float, lam: float, gamma: float, t_e: float) -> float:
-    """Attacked singles per eta_b mu; the clean level is t_ab e^{-mu t_ab}."""
-    return (1.0 - lam) * t_e * _bracket(mu, lam, gamma, t_e)
+def _alarm_z(attacked, clean):
+    """Alarm z, elementwise: attacked minus clean coincidences over sqrt(clean);
+    0 where they agree, also both at 0, and +inf for an excess over a clean 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(attacked == clean, 0.0, (attacked - clean) / np.sqrt(clean))
+
+
+def _credited_info(mu: float, lam, gamma):
+    """Information per sifted bit credited to the attack (:func:`eve_info_b`)."""
+    return gamma * (mu / 2.0) * lam * (1.0 - lam) + (1.0 - gamma) * 0.5
 
 
 def photon_dist_prime(n: int, attack: BeamsplitAttack, mu: float) -> float:
@@ -99,17 +118,14 @@ def photon_dist_prime(n: int, attack: BeamsplitAttack, mu: float) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    m = mu * attack.pass_mean_factor
-    if m == 0.0:
-        return 0.0
-    bracket = _bracket(mu, attack.lam, attack.gamma, attack.t_e)
-    return math.exp(n * math.log(m) - math.lgamma(n + 1)) * bracket
+    _, m, _, bracket = _link(mu, attack.lam, attack.gamma, attack.t_e)
+    return m**n * math.exp(-math.lgamma(n + 1)) * bracket
 
 
 def photon_dist_prime_zero(attack: BeamsplitAttack, mu: float) -> float:
     """Vacuum probability, defined by complement of the n >= 1 terms."""
-    m = mu * attack.pass_mean_factor
-    return 1.0 - math.expm1(m) * _bracket(mu, attack.lam, attack.gamma, attack.t_e)
+    _, m, _, bracket = _link(mu, attack.lam, attack.gamma, attack.t_e)
+    return 1.0 - math.expm1(m) * bracket
 
 
 def clean_singles_ref(mu: float, t_ab: float, eta_b: float) -> float:
@@ -180,9 +196,7 @@ def eve_info_b(attack: BeamsplitAttack, mu: float) -> float:
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    split_term = attack.gamma * (mu / 2.0) * attack.lam * (1.0 - attack.lam)
-    shutter_term = (1.0 - attack.gamma) * 0.5
-    return split_term + shutter_term
+    return _credited_info(mu, attack.lam, attack.gamma)
 
 
 def cascade_info_bound(
@@ -311,16 +325,13 @@ def coincidence_alarm(
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
-    _, pc_attack = bob_probs_prime(attack, mu, eta_b, mode)
-    attacked = n_pulses * pc_attack
-    sigma = math.sqrt(clean)
-    z = (attacked - clean) / sigma if sigma > 0 else math.inf
+    attacked = n_pulses * bob_probs_prime(attack, mu, eta_b, mode)[1]
     return AlarmStats(
         n_pulses=n_pulses,
         expected_coinc_clean=clean,
         expected_coinc_attack=attacked,
-        sigma=sigma,
-        z_score=z,
+        sigma=math.sqrt(clean),
+        z_score=float(_alarm_z(attacked, clean)),
     )
 
 
@@ -370,58 +381,49 @@ def max_stealth_info(
     # One row per element; the lam grid runs along the columns.
     shape = t_ab.shape
     t_ab, t_e = t_ab.reshape(-1, 1), t_e.reshape(-1, 1)
-    pref = mode.coincidence_prefactor
     clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
-    sigma = np.sqrt(clean)
     target = t_ab * np.exp(-mu * t_ab)
 
-    def evaluate(lams: np.ndarray):
-        """(gamma, info, z, feasible) at tap fractions lams, per row."""
-        pass_f = (1.0 - lams) * t_e
-        m = mu * pass_f
-        e_blocked = np.exp(-mu * (lams + pass_f))
-        e_pass = np.exp(-m)
+    def matched(pass_f, e_blocked, e_pass):
+        """The singles-matched shutter; NaN where no gamma in [0, 1] matches."""
         gamma = 1.0 + (target / pass_f - e_pass) / e_blocked
         feasible = (gamma >= -_EDGE_TOL) & (gamma <= 1.0 + _EDGE_TOL)
-        gamma = np.clip(gamma, 0.0, 1.0)
-        bracket = (gamma - 1.0) * e_blocked + e_pass
-        pc = pref * eta_b**2 * m * m / 2.0 * bracket
-        z = np.where(sigma > 0, (n_pulses * pc - clean) / sigma, np.where(pc > 0, np.inf, 0.0))
-        info = gamma * (mu / 2.0) * lams * (1.0 - lams) + (1.0 - gamma) * 0.5
-        return gamma, info, z, feasible
+        return np.where(feasible, np.clip(gamma, 0.0, 1.0), np.nan)
+
+    def evaluate(lams: np.ndarray):
+        """(gamma, info, z) at tap fractions lams, per row; NaN where infeasible."""
+        _, m, gamma, bracket = _link(mu, lams, matched, t_e)
+        pc = mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
+        return gamma, _credited_info(mu, lams, gamma), _alarm_z(n_pulses * pc, clean)
 
     def above(lam: np.ndarray) -> np.ndarray:
-        pass_f = (1.0 - lam) * t_e
-        return pass_f * np.exp(-mu * pass_f) > target  # singles level at gamma = 1
-
-    def loud(lam: np.ndarray) -> np.ndarray:
-        _, _, z, feasible = evaluate(lam)
-        return ~feasible | (z > 2.0)
+        pass_f, _, _, bracket = _link(mu, lam, 1.0, t_e)
+        return pass_f * bracket > target  # singles level at gamma = 1
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo, hi = bisect(above, 0.0, 1.0, 200)
-        lam_bsa = np.where(above(0.0), 0.5 * (lo + hi), 0.0)
-        fb_gamma, fb_info, fb_z, fb_feasible = evaluate(lam_bsa)
+        lo, hi = bisect(above, 0.0, np.where(above(0.0), 1.0, 0.0), 200)
+        lam_bsa = 0.5 * (lo + hi)
+        fb_gamma, fb_info, fb_z = evaluate(lam_bsa)
 
         n_lams = np.ceil(lam_bsa / grid_step)
         lams = np.arange(max(1, int(n_lams.max(initial=0.0)))) * grid_step
-        gamma_g, info_g, z_g, feas_g = evaluate(lams)
-        stealthy = (np.arange(lams.size) < n_lams) & feas_g & (z_g <= 2.0) & (gamma_g < 1.0)
+        gamma_g, info_g, z_g = evaluate(lams)
+        stealthy = (np.arange(lams.size) < n_lams) & (z_g <= 2.0) & (gamma_g < 1.0)
         idx = np.argmax(np.where(stealthy, info_g, -np.inf), axis=1, keepdims=True)
         prev = np.maximum(idx - 1, 0)
         lam, gamma, info, z = (lams[idx], *(np.take_along_axis(v, idx, 1)
                                             for v in (gamma_g, info_g, z_g)))
 
-        # Refine onto the z = 2 contour just below the best grid point, where
-        # the shutter is more aggressive and the information slightly higher.
-        refine = ((idx > 0) & np.take_along_axis(feas_g, prev, 1)
-                  & (np.take_along_axis(z_g, prev, 1) > 2.0))
-        _, hi = bisect(loud, lams[prev], lam, 60)
-        r_gamma, r_info, r_z, r_feasible = evaluate(hi)
-        take = refine & r_feasible & (r_z <= 2.0) & (r_info > info)
+        # Refine from the loud (z > 2 or infeasible) neighbor below the best grid
+        # point onto the z = 2 contour, where the information is slightly higher.
+        refine = (idx > 0) & (np.take_along_axis(z_g, prev, 1) > 2.0)
+        _, hi = bisect(lambda x: ~(evaluate(x)[2] <= 2.0), lams[prev], lam, 60)
+        r_gamma, r_info, r_z = evaluate(hi)
+        take = refine & (r_z <= 2.0) & (r_info > info)
         lam, gamma, info, z = (np.where(take, new, old) for new, old in
                                ((hi, lam), (r_gamma, gamma), (r_info, info), (r_z, z)))
 
+    fb_feasible = ~np.isnan(fb_gamma)
     has_stealthy = stealthy.any(axis=1, keepdims=True)
     use_fb = ~has_stealthy | (fb_info > info)
     fields = [np.where(fb_feasible, np.where(use_fb, fb, best), identity)
@@ -431,28 +433,30 @@ def max_stealth_info(
                           constrained=(fb_feasible & has_stealthy).reshape(shape))
 
 
-def lambda_for_gamma(
-    mu: float, t_ab: float, t_e: float, gamma: float
-) -> float | None:
-    """Tap fraction matching the clean singles at a given shutter setting.
+def lambda_for_gamma(mu: float, t_ab: float, t_e: float, gamma):
+    """Tap fraction matching the clean singles at shutter settings gamma.
 
-    The singles level is unimodal in lam; this returns the root on the
-    decreasing branch (the one continuously connected to the gamma = 1
-    pure beam-splitting point), or None when the level cannot reach the
-    clean value at this gamma.
+    Elementwise in ``gamma``.  The singles level is unimodal in lam; this
+    returns the root on the decreasing branch (the one continuously
+    connected to the gamma = 1 pure beam-splitting point), or NaN where the
+    level cannot reach the clean value at that gamma.
     """
-    BeamsplitAttack(lam=0.0, gamma=gamma, t_e=t_e)  # validates gamma and t_e
+    gamma = np.asarray(gamma, dtype=float)
+    bad = ~((0 <= gamma) & (gamma <= 1))
+    if bad.any():
+        raise ValueError(f"gamma must be in [0, 1], got {gamma[bad][0]}")
+    BeamsplitAttack(lam=0.0, gamma=1.0, t_e=t_e)  # validates t_e
     target = t_ab * math.exp(-mu * t_ab)
 
-    def level(lam: float) -> float:
-        return _singles_level(mu, lam, gamma, t_e)
+    def level(lam: np.ndarray) -> np.ndarray:
+        pass_f, _, _, bracket = _link(mu, lam, gamma, t_e)
+        return pass_f * bracket
 
     # At gamma = 1 the peak is the lam = 0 edge, which the search only nears.
-    lam_peak = max(0.0, golden_max(level, 0.0, 1.0, 1e-12), key=level)
-    if level(lam_peak) < target:
-        return None
+    peak = golden_max(level, 0.0, 1.0, 1e-12)
+    lam_peak = np.where(level(peak) > level(0.0), peak, 0.0)
     lo, hi = bisect(lambda lam: level(lam) > target, lam_peak, 1.0, 200)
-    return 0.5 * (lo + hi)
+    return np.where(level(lam_peak) < target, np.nan, 0.5 * (lo + hi))[()]
 
 
 def gamma_sweep(
@@ -470,19 +474,12 @@ def gamma_sweep(
     matched (decreasing-branch root); gammas that cannot be matched are
     skipped.
     """
-    rows: list[dict[str, float]] = []
-    for gamma in np.linspace(0.0, 1.0, n_points):
-        lam = lambda_for_gamma(mu, t_ab, t_e, float(gamma))
-        if lam is None:
-            continue
-        attack = BeamsplitAttack(lam=lam, gamma=float(gamma), t_e=t_e)
-        alarm = coincidence_alarm(attack, mu, eta_b, t_ab, n_pulses, mode)
-        rows.append(
-            {
-                "gamma": float(gamma),
-                "expected_coincidences": alarm.expected_coinc_attack,
-                "z_score": alarm.z_score,
-                "info": eve_info_b(attack, mu),
-            }
-        )
-    return rows
+    gamma = np.linspace(0.0, 1.0, n_points)
+    lam = lambda_for_gamma(mu, t_ab, t_e, gamma)
+    gamma, lam = gamma[~np.isnan(lam)], lam[~np.isnan(lam)]
+    _, m, _, bracket = _link(mu, lam, gamma, t_e)
+    attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
+    z = _alarm_z(attacked, n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode))
+    info = _credited_info(mu, lam, gamma)
+    return [{"gamma": g, "expected_coincidences": c, "z_score": s, "info": i}
+            for g, c, s, i in zip(gamma.tolist(), attacked.tolist(), z.tolist(), info.tolist())]

@@ -12,7 +12,6 @@ from qkd_eve_lab.strategy_b import (
     _EDGE_TOL,
     BeamsplitAttack,
     StealthOptimum,
-    _singles_level,
     blocking_threshold_db,
     blocking_threshold_t,
     bob_probs_prime,
@@ -280,6 +279,14 @@ class TestCoincidenceAlarm:
             alarm = coincidence_alarm(attack, MU, 0.1, T60, 1e10)
             assert alarm.z_score > 0.0
 
+    def test_empty_window_is_silent(self):
+        # Both coincidence counts underflow to 0: nothing to see, so z = 0.
+        attack = BeamsplitAttack(lam=1.0, gamma=0.0, t_e=0.5)
+        alarm = coincidence_alarm(attack, 0.1, 0.1, 1e-200, 1e10)
+        assert alarm.expected_coinc_clean == alarm.expected_coinc_attack == 0.0
+        assert alarm.z_score == 0.0
+        assert alarm.stealthy
+
     def test_monotonicity_grid_with_matched_singles(self):
         """Matched singles with any shutter activity strictly raises the
         coincidence probability (linear-optics impossibility claim)."""
@@ -362,7 +369,8 @@ def _pure_bsa_lambda(mu: float, t_ab: float, t_e: float) -> float:
     target = t_ab * math.exp(-mu * t_ab)
 
     def above(lam: float) -> bool:
-        return _singles_level(mu, lam, 1.0, t_e) > target
+        pass_f = (1.0 - lam) * t_e
+        return pass_f * math.exp(-mu * pass_f) > target
 
     if not above(0.0):
         return 0.0
@@ -534,7 +542,71 @@ class TestGammaSweep:
         ps, _ = bob_probs_prime(attack, MU, 0.1)
         assert ps == pytest.approx(clean_singles_ref(MU, T60, 0.1), rel=1e-9)
 
-    def test_unreachable_gamma_returns_none(self):
+    def test_unreachable_gamma_returns_nan(self):
         # at 60 km the available straight-line gain cannot support gamma = 0
         t_e = transmission(0.15 * 60)
-        assert lambda_for_gamma(MU, T60, t_e, 0.0) is None
+        assert np.isnan(lambda_for_gamma(MU, T60, t_e, 0.0))
+
+    @pytest.mark.parametrize("gamma,t_e", [
+        (math.nan, 0.5), (-0.1, 0.5), (1.1, 0.5), (0.5, math.nan), (0.5, 0.0),
+        ([0.2, math.nan, 0.8], 0.5),
+    ])
+    def test_rejects_bad_shutter_or_fiber(self, gamma, t_e):
+        with pytest.raises(ValueError, match="gamma|t_e"):
+            lambda_for_gamma(MU, T60, t_e, gamma)
+
+
+# Reference for the elementwise lambda_for_gamma: the scalar solve, one gamma
+# at a time, with the ``math`` singles level and a scalar golden-section search.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, a, b, tol):
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_lambda_for_gamma(mu: float, t_ab: float, t_e: float, gamma: float):
+    """Decreasing-branch tap fraction matching the clean singles, or None."""
+    BeamsplitAttack(lam=0.0, gamma=gamma, t_e=t_e)  # validates gamma and t_e
+    target = t_ab * math.exp(-mu * t_ab)
+
+    def level(lam: float) -> float:
+        pass_f = (1.0 - lam) * t_e
+        bracket = (gamma - 1.0) * math.exp(-mu * (lam + pass_f)) + math.exp(-mu * pass_f)
+        return pass_f * max(bracket, 0.0)
+
+    lam_peak = max(0.0, golden_max(level, 0.0, 1.0, 1e-12), key=level)
+    if level(lam_peak) < target:
+        return None
+    lo, hi = bisect(lambda lam: level(lam) > target, lam_peak, 1.0, 200)
+    return 0.5 * (lo + hi)
+
+
+# (mu, km of installed link, km of replacement fiber): the default 60 km link
+# cannot be matched below gamma = 0.26; the others cover short and long links.
+_SWEEP_POINTS = [(0.1, 60.0, 60.0), (0.1, 20.0, 20.0), (0.5, 100.0, 100.0),
+                 (0.05, 120.0, 40.0), (0.9, 5.0, 5.0)]
+
+
+@pytest.mark.parametrize("mu,d_ab,d_e", _SWEEP_POINTS)
+def test_elementwise_lambda_matches_the_scalar_reference(mu, d_ab, d_e):
+    t_ab, t_e = transmission(0.25 * d_ab), transmission(0.15 * d_e)
+    gammas = np.linspace(0.0, 1.0, 21)
+    want = [reference_lambda_for_gamma(mu, t_ab, t_e, float(g)) for g in gammas]
+    got = lambda_for_gamma(mu, t_ab, t_e, gammas)
+    assert np.isnan(got).tolist() == [w is None for w in want]
+    kept = [w for w in want if w is not None]
+    assert kept
+    np.testing.assert_allclose(got[~np.isnan(got)], kept, rtol=1e-12, atol=0)
