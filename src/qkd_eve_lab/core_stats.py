@@ -192,8 +192,9 @@ def multi_photon_fraction(mu: float, mode: str = "exact") -> float:
 
 
 def transmission(loss_db: float | np.ndarray) -> float | np.ndarray:
-    """Transmittance of a link with the given total loss in dB; elementwise."""
-    if np.any(np.less(loss_db, 0)):
+    """Transmittance of a link with the given total loss in dB; elementwise.
+    A negative or NaN loss raises ValueError."""
+    if not np.all(np.greater_equal(loss_db, 0)):
         raise ValueError(f"loss_db must be >= 0, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 

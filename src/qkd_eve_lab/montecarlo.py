@@ -14,8 +14,11 @@ stream is per pulse: cost scales with the pulses that carry light or click.
 * The pulses with n >= 1 photons, a Bernoulli(1 - e^-mu) process, are
   placed exactly by geometric gaps from the ``_COL_N`` stream; their photon
   numbers are zero-truncated Poisson(mu), one uniform each from
-  ``_COL_PHOTONS``.  Each detector's dark counts, a Bernoulli(p_dark)
-  process, are placed the same way from ``_COL_DARK_0`` / ``_COL_DARK_1``.
+  ``_COL_PHOTONS``, inverted by a sequential search of the CDF: one pass
+  over the draws per CDF entry up to the largest uniform, each adding 1
+  where the entry is at most the draw's uniform.  Each detector's dark
+  counts, a Bernoulli(p_dark) process, are placed the same way from
+  ``_COL_DARK_0`` / ``_COL_DARK_1``.
 * The channel and eavesdropper columns draw one uniform per active pulse,
   in pulse order: the occupied and dark-count pulses, or the whole block
   when strategy A resends vacuum pulses as blind states.  Such a
@@ -39,6 +42,11 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   the tallies are the same either way.  Likewise a block without dark
   counts builds no dark-count masks, and a run without an eavesdropper no
   record of what she knows or alters.
+* No selection over per-pulse arrays branches on random data.  The
+  detector clicks are bitwise expressions, and strategy A's per-case
+  resend and error probabilities are ``np.take`` lookups by int8 case
+  codes.  Each gives the same bits as the selection it replaces, so the
+  tallies do not depend on the form.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
   of whole blocks; only the last block of a run may be partial.
 * Streams are repositioned, not rebuilt.  A chunk holds one Philox
@@ -185,6 +193,24 @@ def _binomial_from_u(
     return k
 
 
+def _photons_from_u(u: np.ndarray, photons: np.ndarray) -> np.ndarray:
+    """Inverse-CDF photon numbers as int8, one uniform u in [0, 1) per draw.
+
+    A sequential search: a draw's photon number counts the entries of
+    ``photons`` below column PHOTON_CAP that are at most its u.  Each entry
+    up to the largest u is one branch-free pass over every draw; a larger
+    entry counts no draw.  On a non-decreasing table this is
+    ``searchsorted(photons, u, side="right")`` capped at PHOTON_CAP.  The
+    count starts at column 0, so a table with ``photons[0] > 0`` can draw
+    n = 0.
+    """
+    levels = photons[:PHOTON_CAP]
+    n = np.zeros(u.size, dtype=np.int8)
+    for level in levels[levels <= u.max(initial=0.0)]:
+        n += level <= u
+    return n
+
+
 @dataclass
 class SimConfig:
     """One simulation run: system, eavesdropper, size, and seeding.
@@ -220,6 +246,8 @@ class SimConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.distance_km is not None and not self.distance_km >= 0:
+            raise ConfigError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.system.basis_mode is not BasisMode.ACTIVE:
             raise ConfigError("the simulation models active basis choice only")
         if self.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
@@ -321,6 +349,32 @@ class _StrategyAPolicy:
     attack_fraction: float
 
 
+# Probability that a strategy-A resend carries the wrong bit, by error code:
+# no photon in her right basis (a random bit), photons in her right basis
+# only, photons in both bases (the intermediate state).
+_RESEND_ERROR_PROB = (0.5, 0.0, strategy_a.INTERMEDIATE_STATE_QBER)
+
+
+def _strategy_a_codes(n: np.ndarray, k_right: np.ndarray,
+                      k_w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Case and error codes, int8, of pulses with n photons, k_right of them
+    in Eve's right basis and k_w0 of the rest on detector 0 of her wrong one.
+
+    The case code indexes (A, B, C, D): A one photon, B photons in both
+    bases, D all in the wrong basis and on both of its detectors, C the
+    rest, the first match in the order A, B, D, C.  A one-photon pulse is
+    never B or D, so the code is 2 - 2[A] - [B] + [D and not B].  The error
+    code indexes ``_RESEND_ERROR_PROB``.
+    """
+    n_wrong = n - k_right
+    right = k_right > 0
+    both_bases = right & (n_wrong > 0)
+    split_wrong = (k_w0 > 0) & (k_w0 < n_wrong)
+    case = (2 - 2 * (n == 1).view(np.int8) - both_bases.view(np.int8)
+            + (split_wrong & ~both_bases))
+    return case, right.view(np.int8) + both_bases
+
+
 def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
     mu = cfg.system.source.mu
     mix = strategy_a.allocate(mu, cfg.system.t_ab(cfg.distance))
@@ -360,17 +414,32 @@ def _occupied_pulses(streams: _Streams, block: int, length: int,
                      tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices in [0, length) of the occupied pulses of ``block`` and
     their photon numbers as int8, by inversion of ``tables.photons``, one
-    uniform each."""
+    uniform each: a sequential search, one branch-free pass over the draws
+    per table entry up to the largest uniform (``_photons_from_u``)."""
     at = _bernoulli_positions(streams, _COL_N, block, length, tables.occupied)
-    n = np.searchsorted(tables.photons, streams.uniforms(_COL_PHOTONS, block, at.size),
-                        side="right")
-    return at, np.minimum(n, PHOTON_CAP, out=n).astype(np.int8)
+    return at, _photons_from_u(streams.uniforms(_COL_PHOTONS, block, at.size),
+                               tables.photons)
 
 
 def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
     """Runs of whole blocks, ``batch_size`` rounded up to a multiple of BLOCK."""
     batch = -(-batch_size // BLOCK) * BLOCK
     return [(s, min(s + batch, n_pulses)) for s in range(0, n_pulses, batch)]
+
+
+def _clicks(bob_right: np.ndarray, received_bit: np.ndarray, k_det: np.ndarray,
+            k_split0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of Bob's detectors fires on the k_det photons he detects.
+
+    In Alice's basis every detected photon fires the received bit's
+    detector; in the other basis each picks a detector at random, k_split0
+    of them detector 0.  Bitwise, so no element branches.
+    """
+    detected = k_det > 0
+    wrong_basis = ~bob_right
+    click0 = (bob_right & detected & ~received_bit) | (wrong_basis & (k_split0 > 0))
+    click1 = (bob_right & detected & received_bit) | (wrong_basis & (k_split0 < k_det))
+    return click0, click1
 
 
 def _simulate_block(
@@ -435,33 +504,28 @@ def _simulate_block(
     eve_knows = resend_error = None
 
     if cfg.eve_model is EveModel.STRATEGY_A:
-        # Photon-number cases of the occupied pulses only: A one photon, B
-        # photons in both of Eve's bases, D all in her wrong basis and on
-        # both of its detectors, C the rest.  She learns the bit whenever a
-        # photon is in her right basis; with none she resends a random bit.
+        # Photon-number cases of the occupied pulses only.  She learns the
+        # bit whenever a photon is in her right basis; with none she resends
+        # a random bit.
         p = policy
         k_right = binomial(_COL_EVE_SPLIT, n, 0.5, at=pos)
-        n_wrong = n - k_right
-        k_w0 = binomial(_COL_EVE_AUX, n_wrong, 0.5, at=pos)
-        right = k_right > 0
-        both_bases = right & (n_wrong > 0)
-        prob_a, prob_b, prob_c, prob_d = p.resend_prob
-        resend = decide(_COL_EVE_USE, p.blind_prob, np.select(
-            [n == 1, both_bases, (k_w0 > 0) & (k_w0 < n_wrong)], [prob_a, prob_b, prob_d],
-            prob_c))
+        k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5, at=pos)
+        case, error = _strategy_a_codes(n, k_right, k_w0)
+        resend = decide(_COL_EVE_USE, p.blind_prob, np.take(p.resend_prob, case))
         intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction)
         resend &= intercepted
-        resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.select(
-            [~right, both_bases], [0.5, strategy_a.INTERMEDIATE_STATE_QBER], 0.0))
+        resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.take(_RESEND_ERROR_PROB, error))
         eve_knows = np.zeros(m, dtype=bool)
-        eve_knows[pos] = resend[pos] & right
+        eve_knows[pos] = resend[pos] & (k_right > 0)
 
         # Resent pulses carry one fresh photon straight into the receiver;
         # pulses she left alone travel the installed fiber.
         arrivals = resend.view(np.int8)  # resend is not read again
         if p.attack_fraction < 1.0:
             passed = binomial(_COL_CHANNEL, n, tables.channel, at=pos)
-            arrivals[pos] = np.where(intercepted[pos], arrivals[pos], passed)
+            merged = arrivals[pos]
+            np.copyto(merged, passed, where=~intercepted[pos])
+            arrivals[pos] = merged
     else:
         if m > n.size:  # pulses with a dark count alone carry no photon
             n_occupied, n = n, np.zeros(m, dtype=n.dtype)
@@ -474,7 +538,7 @@ def _simulate_block(
             eve_knows = eve_detected & chance(_COL_EVE_AUX, 0.5)
             shutter_open = eve_detected | chance(_COL_EVE_USE, cfg.attack.gamma)
             arrivals = binomial(_COL_CHANNEL, n - k_e, tables.channel)
-            arrivals[~shutter_open] = 0
+            arrivals *= shutter_open
 
     # Receiver, only where a photon or a dark count arrives: no other pulse can click.
     reach = arrivals > 0
@@ -490,11 +554,7 @@ def _simulate_block(
     alice_bit = chance(_COL_ALICE_BIT, 0.5, r)
     received_bit = alice_bit if resend_error is None else alice_bit ^ resend_error[at]
 
-    # In Alice's basis every detected photon fires the received bit's
-    # detector; in the other basis each picks a detector at random.
-    detected = k_det > 0
-    click0 = np.where(bob_right, detected & ~received_bit, k_split0 > 0)
-    click1 = np.where(bob_right, detected & received_bit, k_split0 < k_det)
+    click0, click1 = _clicks(bob_right, received_bit, k_det, k_split0)
     for click, dark in zip((click0, click1), darks):
         click |= dark[at]
     any_click = click0 | click1

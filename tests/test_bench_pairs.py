@@ -36,8 +36,9 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"},
-                                         {"name": "mpulses_per_s", "better": "higher"}]}))
+        "run_seconds": 1, "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "mpulses_per_s", "better": "higher", "bound": 0.25}]}))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--workload", "w", "--seed", "0",
@@ -51,6 +52,76 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     assert report["parent"]["minor_faults"]["values"] == [6, 106, 206, 306]
     assert report["change"]["minor_faults"]["median"] == 156.0
     assert "minor_faults" not in report["change_wins"]
+
+
+def test_verdicts_on_bounds_and_gains(monkeypatch, tmp_path):
+    # Ten pairs; in pair i the parent reads 10 + i/10 on every metric, so its
+    # interquartile range is 0.45.
+    def change_value(name, i, parent):
+        if name == "mpulses_per_s":  # higher is better: 9 wins by about 1
+            return parent + 1.0 if i != 9 else parent - 0.5
+        if name == "wall_s":  # 10 wins, by less than the parent's spread
+            return parent - 0.01
+        if name == "setup_s":  # 30% slower, beyond its bound of 25%
+            return parent * 1.3
+        return parent / 2 if i < 8 else parent + 1.0  # peak_rss_mb: 8 wins of 10
+
+    def fake_run(tree, args):
+        i = int(args[args.index("--seed") + 1])
+        parent = 10.0 + i / 10
+        return {"environment": {}, "minor_faults": 0, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": parent if tree.name == "parent"
+                                   else change_value(name, i, parent)}
+                            for name in ("mpulses_per_s", "wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "mpulses_per_s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--seed", "0",
+                             "--pairs", "10", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["workloads"]["w"]
+    parent = report["parent"]["wall_s"]
+    assert parent["q3"] - parent["q1"] == pytest.approx(0.45)
+    assert report["change_wins"] == {"setup_s": 0, "wall_s": 10, "mpulses_per_s": 9,
+                                     "peak_rss_mb": 8}
+    assert report["within_bound"] == {"setup_s": False, "wall_s": True,
+                                      "mpulses_per_s": True, "peak_rss_mb": True}
+    assert report["gain_holds"] == {"setup_s": False, "wall_s": False,
+                                    "mpulses_per_s": True, "peak_rss_mb": False}
+
+
+def test_within_bound_at_and_past_the_bound(monkeypatch, tmp_path):
+    # A slowdown of exactly the bound is within it; a larger one is not.
+    def fake_run(tree, args):
+        past = int(args[args.index("--seed") + 1])  # seed 0 at the bound, 1 past it
+        wall, rate = (8.0, 8.0) if tree.name == "parent" else ((10.0, 6.0), (10.5, 5.5))[past]
+        return {"environment": {}, "minor_faults": 0, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": wall}, "mpulses_per_s": {"value": rate}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "mpulses_per_s", "better": "higher", "bound": 0.25}]}))
+    verdicts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"bench{seed}.json"
+        assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                                 str(tmp_path / "change"), "--workload", "w", "--seed", seed,
+                                 "--pairs", "1", "--out", str(out)]) == 0
+        verdicts.append(json.loads(out.read_text())["workloads"]["w"]["within_bound"])
+    assert verdicts == [{"wall_s": True, "mpulses_per_s": True},
+                        {"wall_s": False, "mpulses_per_s": False}]
 
 
 def test_run_counts_the_minor_faults_of_the_run(tmp_path):
@@ -88,7 +159,7 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--workload", "w", "--seed", "0",

@@ -136,6 +136,11 @@ class TestTransmission:
         with pytest.raises(ValueError):
             transmission(-1.0)
 
+    @pytest.mark.parametrize("loss_db", [math.nan, [1.0, math.nan]])
+    def test_nan_loss_rejected(self, loss_db):
+        with pytest.raises(ValueError):
+            transmission(loss_db)
+
     @given(
         st.floats(min_value=0.0, max_value=100.0),
         st.floats(min_value=0.0, max_value=100.0),

@@ -38,6 +38,7 @@ from qkd_eve_lab.montecarlo import (
     BLOCK,
     FAMILY_ALPHA,
     PHOTON_CAP,
+    _RESEND_ERROR_PROB,
     Report,
     SimConfig,
     SimResult,
@@ -45,6 +46,9 @@ from qkd_eve_lab.montecarlo import (
     _Tables,
     _binomial_cdf_table,
     _binomial_from_u,
+    _clicks,
+    _photons_from_u,
+    _strategy_a_codes,
     binomial_p_value,
     compare,
     holm_rejections,
@@ -204,6 +208,97 @@ class TestBinomialFromU:
         with pytest.raises(ValueError):
             table[0, 0] = 0.5
         assert table.tobytes() == _fresh_binomial_table(0.37).tobytes()
+
+
+def _photon_table(mu, truncated=True):
+    """The zero-truncated photon-number CDF of ``_Tables``, or the planted
+    untruncated one, whose first entry e^-mu is above 0."""
+    if truncated:
+        return _Tables.build(SimConfig(system=make_system(mu=mu))).photons
+    return np.cumsum(poisson_pmf_array(mu, PHOTON_CAP))
+
+
+def _photons_reference(u, photons):
+    return np.minimum(np.searchsorted(photons, u, side="right"), PHOTON_CAP)
+
+
+PHOTON_MUS = [0.02, 0.1, 0.5, 0.9]
+
+
+class TestPhotonsFromU:
+    """The sequential photon-number search draws what searchsorted on the
+    table, capped at PHOTON_CAP, draws, for every u in [0, 1)."""
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    @pytest.mark.parametrize("mu", PHOTON_MUS)
+    def test_on_and_just_below_every_entry(self, mu, truncated):
+        photons = _photon_table(mu, truncated)
+        assert (photons[0] > 0) is not truncated
+        u = np.concatenate([photons, np.nextafter(photons, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        n = _photons_from_u(u, photons)
+        assert n.dtype == np.int8
+        assert np.array_equal(n, _photons_reference(u, photons))
+
+    @given(data=st.data())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, data):
+        photons = _photon_table(data.draw(st.sampled_from(PHOTON_MUS)), data.draw(st.booleans()))
+        entries = photons[photons < 1.0].tolist()
+        u_values = (st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(entries)
+                    | st.sampled_from(entries).map(lambda e: float(np.nextafter(e, 0.0))))
+        u = np.array(data.draw(st.lists(u_values, max_size=60)), dtype=np.float64)
+        assert np.array_equal(_photons_from_u(u, photons), _photons_reference(u, photons))
+
+
+def _reference_clicks(bob_right, received_bit, k_det, k_split0):
+    """The selections the bitwise click rule replaced."""
+    detected = k_det > 0
+    click0 = np.where(bob_right, detected & ~received_bit, k_split0 > 0)
+    click1 = np.where(bob_right, detected & received_bit, k_split0 < k_det)
+    return click0, click1
+
+
+def _reference_strategy_a_probs(n, k_right, k_w0, resend_prob):
+    """The resend and error probabilities by first-match selection, which the
+    case and error code lookups replaced."""
+    n_wrong = n - k_right
+    right = k_right > 0
+    both_bases = right & (n_wrong > 0)
+    prob_a, prob_b, prob_c, prob_d = resend_prob
+    resend = np.select([n == 1, both_bases, (k_w0 > 0) & (k_w0 < n_wrong)],
+                       [prob_a, prob_b, prob_d], prob_c)
+    error = np.select([~right, both_bases], [0.5, INTERMEDIATE_STATE_QBER], 0.0)
+    return resend, error
+
+
+class TestBranchFreeSelections:
+    """The bitwise clicks and the table lookups of the strategy-A cases
+    agree with the selections they replaced on every combination of counts
+    up to n = 6 photons and 3 detected ones."""
+
+    def test_clicks(self):
+        combos = [(b, r, k, s) for b in (False, True) for r in (False, True)
+                  for k in range(4) for s in range(k + 1)]
+        bob_right, received_bit = (np.array(c, dtype=bool) for c in list(zip(*combos))[:2])
+        k_det, k_split0 = (np.array(c, dtype=np.int8) for c in list(zip(*combos))[2:])
+        clicks = _clicks(bob_right, received_bit, k_det, k_split0)
+        for new, old in zip(clicks, _reference_clicks(bob_right, received_bit, k_det, k_split0)):
+            assert new.dtype == bool
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("resend_prob", [(0.1, 0.2, 0.3, 0.4), (1.0, 0.0, 0.25, 0.5)])
+    def test_strategy_a_lookups(self, resend_prob):
+        combos = [(n, k, w) for n in range(7) for k in range(n + 1) for w in range(n - k + 1)]
+        n, k_right, k_w0 = (np.array(c, dtype=np.int8) for c in zip(*combos))
+        case, error = _strategy_a_codes(n, k_right, k_w0)
+        assert case.dtype == error.dtype == np.int8
+        old_resend, old_error = _reference_strategy_a_probs(n, k_right, k_w0, resend_prob)
+        assert np.array_equal(np.take(resend_prob, case), old_resend)
+        assert np.array_equal(np.take(_RESEND_ERROR_PROB, error), old_error)
+        # Every case occurs, and D also at n >= 3, where the goldens rarely draw it.
+        assert set(case.tolist()) == {0, 1, 2, 3}
+        assert 3 in case[n >= 3]
 
 
 class TestPhotonStatistics:
@@ -658,6 +753,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimConfig(system=make_system(), eve_model=EveModel.STRATEGY_B,
                       n_pulses=100, seed=1)
+
+    @pytest.mark.parametrize("distance", [float("nan"), -1.0])
+    def test_nan_or_negative_distance_rejected(self, distance):
+        with pytest.raises(ConfigError, match="distance_km"):
+            SimConfig(system=SystemConfig(), distance_km=distance, n_pulses=70000)
 
     def test_unlimited_is_not_simulable(self):
         with pytest.raises(ConfigError):

@@ -6,19 +6,27 @@
 For each workload, pair i runs ``perfbench/run.py --seed SEED+i`` in each
 tree, one after the other; the parent goes first in even pairs and the
 change in odd ones, so a drift of the machine's speed falls on both sides
-alike.  Run length and the end-to-end metrics, with which way is better,
-come from the change tree's ``BENCHMARK.json``.  For each side and metric
-the output gives the median, the quartiles and every value, the ratio of
-the medians (change over parent) and the number of pairs the change won
-(ties count for neither side).  Each side also gets the median and
-quartiles of ``minor_faults``: the minor page faults of each run, the
-``RUSAGE_CHILDREN`` delta around it, which covers the pool workers it
-waited for.  ``--traced N`` adds N traced runs
-(``--trace 1``) per tree, alternating the same way with seed SEED+i in run
-i, and gives the median and quartiles of each Monte Carlo and analytic
+alike.  Run length and the end-to-end metrics, with which way is better
+and their bounds, come from the change tree's ``BENCHMARK.json``.  For
+each side and metric the output gives the median, the quartiles and every
+value, the ratio of the medians (change over parent), the number of pairs
+the change won (ties count for neither side) and two verdicts:
+
+* ``within_bound``: the ratio of the medians is not worse than the
+  metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's
+  median (at most 1 + bound where lower is better, at least 1 - bound
+  where higher is);
+* ``gain_holds``: the change won at least 9 in 10 of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range.
+
+Each side also gets the median and quartiles of ``minor_faults``: the
+minor page faults of each run, the ``RUSAGE_CHILDREN`` delta around it,
+which covers the pool workers it waited for.  ``--traced N`` adds N traced
+runs (``--trace 1``) per tree, alternating the same way with seed SEED+i in
+run i, and gives the median and quartiles of each Monte Carlo and analytic
 layer metric: one traced pass cannot resolve a change of 20% in one
-config's throughput.
-Uses the standard library only.
+config's throughput.  Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -70,19 +78,24 @@ def bench_workload(trees: dict, workload: str, seed: int, pairs: int,
     out = {"seeds": [seed + i for i in range(pairs)],
            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-           "change_wins": {}, "median_ratio": {}}
+           "change_wins": {}, "median_ratio": {}, "within_bound": {}, "gain_holds": {}}
     for side in SIDES:
         out[side] = {"minor_faults": summary([r["minor_faults"] for r in runs[side]])}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         if name not in runs["parent"][0]["metrics"]:
             continue
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         for side in SIDES:
             out[side][name] = summary(values[side])
         sign = 1.0 if better == "higher" else -1.0
-        out["change_wins"][name] = sum(
-            sign * (new - old) > 0 for old, new in zip(values["parent"], values["change"]))
-        out["median_ratio"][name] = out["change"][name]["median"] / out["parent"][name]["median"]
+        wins = sum(sign * (new - old) > 0 for old, new in zip(values["parent"], values["change"]))
+        out["change_wins"][name] = wins
+        parent, change = out["parent"][name], out["change"][name]
+        ratio = change["median"] / parent["median"]
+        out["median_ratio"][name] = ratio
+        out["within_bound"][name] = ratio >= 1.0 - bound if sign > 0 else ratio <= 1.0 + bound
+        out["gain_holds"][name] = (10 * wins >= 9 * pairs and sign * (
+            change["median"] - parent["median"]) > parent["q3"] - parent["q1"])
     out["environment"] = runs["change"][0]["environment"]
     return out
 
@@ -120,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
     report = {"command": "python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
