@@ -22,6 +22,13 @@ from qkd_eve_lab.config import (
 from qkd_eve_lab.core_stats import BasisMode, EveModel
 
 DATA = Path(__file__).parent / "data"
+# Config overrides of the goldens not taken at the shipped defaults.
+GOLDEN_OVERRIDES = {
+    "stats_passive_mu0.5.csv": ["protocol.basis_mode=passive", "source.mu=0.5",
+                                "sweep.step=0.37", "sweep.d_max=150"],
+    "strategy_a_mu0.05_alpha0.2.csv": ["source.mu=0.05", "channel.alpha_ab=0.2",
+                                       "sweep.step=2.5"],
+}
 
 
 class TestConfigParsing:
@@ -328,16 +335,21 @@ class TestDarkCountCap:
 
 
 class TestGoldenOutput:
-    """Data rows at the shipped defaults match the stored copies byte for byte."""
+    """Data rows match the stored copies byte for byte: the shipped defaults,
+    the passive branch of ``p_coinc`` on a fractional step, and strategy A
+    at another mu and fiber attenuation."""
 
     @pytest.mark.parametrize("command,golden", [
         ("stats", "stats_default.csv"),
         ("strategy-a", "strategy_a_default.csv"),
         ("strategy-b", "strategy_b_default.csv"),
+        ("stats", "stats_passive_mu0.5.csv"),
+        ("strategy-a", "strategy_a_mu0.05_alpha0.2.csv"),
     ])
-    def test_data_rows_are_byte_identical(self, command, golden, tmp_path, capsys):
+    def test_data_rows_are_byte_identical(self, command, golden, tmp_path, capsys, recwarn):
         out = tmp_path / "out.csv"
-        assert main([command, "--out", str(out)]) == 0
+        sets = [arg for key in GOLDEN_OVERRIDES.get(golden, []) for arg in ("--set", key)]
+        assert main([command, "--out", str(out), *sets]) == 0
         rows = [line for line in out.read_bytes().splitlines(keepends=True)
                 if not line.startswith(b"#")]
         assert b"".join(rows) == (DATA / golden).read_bytes()
