@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import core_stats, keyrate, strategy_a, strategy_b
 from .config import ConfigError, Settings, default_config_text, load_settings
 from .keyrate import EveModel
@@ -105,26 +107,25 @@ def _attack_from_settings(settings: Settings, distance_km: float) -> BeamsplitAt
 def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
     src, det = system.source, system.detector
-    d_min, d_max, step = _sweep(settings)
-    rows = []
-    for d in distance_grid(d_min, d_max, step):
-        t = system.t_ab(d)
-        rate = core_stats.rates(src, t, det)
-        rows.append((
-            d,
-            t,
-            core_stats.poisson_pmf(0, src.mu),
-            core_stats.poisson_pmf(1, src.mu),
-            core_stats.poisson_pmf(2, src.mu),
-            core_stats.multi_photon_fraction(src.mu, "exact"),
-            core_stats.multi_photon_fraction(src.mu, "second_order"),
-            core_stats.p_single(src, t, det),
-            core_stats.p_single_linear(src, t, det),
-            core_stats.p_coinc(src, t, det, system.basis_mode),
-            core_stats.p_coinc(src, t, det, core_stats.BasisMode.ACTIVE, form="approx"),
-            rate.raw_hz,
-            rate.sifted_hz,
-        ))
+    d = np.asarray(distance_grid(*_sweep(settings)))
+    t = system.t_ab(d)
+    rate = core_stats.rates(src, t, det)
+    columns = [
+        d,
+        t,
+        core_stats.poisson_pmf(0, src.mu),
+        core_stats.poisson_pmf(1, src.mu),
+        core_stats.poisson_pmf(2, src.mu),
+        core_stats.multi_photon_fraction(src.mu, "exact"),
+        core_stats.multi_photon_fraction(src.mu, "second_order"),
+        core_stats.p_single(src, t, det),
+        core_stats.p_single_linear(src, t, det),
+        core_stats.p_coinc(src, t, det, system.basis_mode),
+        core_stats.p_coinc(src, t, det, core_stats.BasisMode.ACTIVE, form="approx"),
+        rate.raw_hz,
+        rate.sifted_hz,
+    ]
+    rows = list(zip(*(np.broadcast_to(c, d.shape).tolist() for c in columns)))
     _write_csv(args.out, settings, [
         "distance_km", "t_ab", "p0", "p1", "p2",
         "multiphoton_exact", "multiphoton_second_order",

@@ -242,7 +242,8 @@ def p_coinc(
     mode: BasisMode = BasisMode.ACTIVE,
     form: str = "exact",
 ) -> float:
-    """Probability of a click in both detectors of a wrong-basis pulse.
+    """Probability of a click in both detectors of a wrong-basis pulse;
+    elementwise in ``t``.
 
     With active basis choice the exact form is (1/2)[1 - exp(-(mu/2) t eta)]^2,
     the quadratic form (1/8) mu^2 t^2 eta^2.  With passive choice only the
@@ -253,7 +254,7 @@ def p_coinc(
     if mode is BasisMode.PASSIVE:
         return 0.625 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
     if form == "exact":
-        return 0.5 * math.expm1(-(src.mu / 2.0) * t * det.eta_b) ** 2
+        return 0.5 * np.expm1(-(src.mu / 2.0) * t * det.eta_b) ** 2
     if form == "approx":
         return 0.25 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
     raise ValueError(f"form must be 'exact' or 'approx', got {form!r}")

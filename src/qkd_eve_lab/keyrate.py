@@ -10,8 +10,7 @@ attributed to the eavesdropper.
 Every formula here is elementwise: distances, and mu where the unlimited
 model optimises it, may be numpy arrays.  One private evaluator over an
 array of distances serves :func:`curve`, :func:`net_rate` (a one-element
-call) and :func:`max_distance`.  Only the eavesdropper's information under
-strategy A is solved one distance at a time.
+call) and :func:`max_distance`.
 """
 from __future__ import annotations
 
@@ -87,17 +86,13 @@ def _net(distance_km, mu, i_eve, cfg: SystemConfig) -> tuple[QberBudget, np.ndar
 
 
 def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.ndarray:
-    """I(A,E) per sifted bit to remove in privacy amplification; elementwise.
-
-    The strategy-A allocation is solved one distance at a time.
-    """
+    """I(A,E) per sifted bit to remove in privacy amplification; elementwise."""
     d = np.asarray(distance_km, dtype=float)
     if eve is EveModel.NONE:
         return np.zeros_like(d)
     if eve is EveModel.STRATEGY_A:
-        info = np.vectorize(lambda t, attrib: strategy_a.attributed_info(
-            strategy_a.allocate(cfg.source.mu, t), attrib), otypes=[float])
-        return info(cfg.t_ab(d), qber_model(d, cfg).qber_attrib)
+        mix = strategy_a.allocate(cfg.source.mu, cfg.t_ab(d))
+        return strategy_a.attributed_info(mix, qber_model(d, cfg).qber_attrib)
     if eve in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
         t_ab = cfg.t_ab(d)
         t_e = np.maximum(cfg.eve_t_e(d), t_ab)  # degenerate at distance 0 rounding

@@ -4,6 +4,11 @@ The eavesdropper measures every pulse behind a passive basis splitter and
 resends fresh states from a station next to the receiver.  Detections fall
 into four classes ranked by information yield per created error; she fills
 the receiver's expected count rate greedily from the best class downward.
+
+The fill and its information credit are elementwise in the link
+transmittance t_ab: one call on an array of transmittances solves every
+distance of a sweep.  A ratio that is undefined because the mix creates no
+errors is NaN.
 """
 from __future__ import annotations
 
@@ -11,7 +16,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .core_stats import to_loss_db, transmission
+import numpy as np
+
+from .core_stats import SECOND_ORDER_MU_LIMIT, to_loss_db, transmission
 from .search import distance_grid
 
 # Error probability of the intermediate state resent for a two-photon
@@ -23,8 +30,6 @@ CASE_LABELS = ("A", "B", "C", "D")
 # Greedy consumption order, best information-per-error first.  D carries no
 # information and is only ever a filler.
 GREEDY_ORDER = ("B", "C", "A", "D")
-
-MU_VALIDITY_LIMIT = 0.2
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,15 @@ def case_table(mu: float) -> tuple[InterceptCase, ...]:
       C  two photons, same detector       p = 3mu/16     info 2/3  qber 1/6
       D  two photons, same wrong basis    p = mu/16      info 0    qber 1/2
 
-    Valid to second order in mu; a warning is emitted above mu = 0.2.
+    Valid to second order in mu; a warning is emitted above mu = 0.2, and
+    mu >= 2, where class A's probability is no longer positive, is rejected.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if mu > MU_VALIDITY_LIMIT:
+    if not 0 < mu < 2:
+        raise ValueError(f"mu must be in (0, 2), got {mu}")
+    if mu > SECOND_ORDER_MU_LIMIT:
         warnings.warn(
             f"case probabilities are second-order in mu; mu={mu} is outside "
-            f"the advertised range (<= {MU_VALIDITY_LIMIT})",
+            f"the advertised range (<= {SECOND_ORDER_MU_LIMIT})",
             stacklevel=2,
         )
     half = mu / 2.0
@@ -75,61 +81,62 @@ def case_table(mu: float) -> tuple[InterceptCase, ...]:
 
 @dataclass
 class CaseMix:
-    """Allocation of resend events across detection classes for one link.
+    """Allocation of resend events across detection classes.
 
     ``usage`` is the per-pulse rate at which each class is resent,
     ``supply`` the per-pulse rate at which it occurs.  When the total
     supply cannot cover the required rate the remainder ``blind`` is sent
     as fresh random states (information 0, error 1/2) and ``deficit`` is
-    set.
+    set.  ``supply`` holds a float per class; ``required_rate``, each
+    ``usage`` entry, ``blind`` and ``deficit`` take the shape of ``t_ab``.
     """
 
     mu: float
-    t_ab: float
-    required_rate: float
+    t_ab: float | np.ndarray
+    required_rate: float | np.ndarray
     supply: dict[str, float]
-    usage: dict[str, float]
-    blind: float = 0.0
-    deficit: bool = False
+    usage: dict[str, float | np.ndarray]
+    blind: float | np.ndarray = 0.0
+    deficit: bool | np.ndarray = False
     cases: tuple[InterceptCase, ...] = field(default_factory=tuple)
 
     @property
-    def total_usage(self) -> float:
+    def total_usage(self) -> float | np.ndarray:
         return sum(self.usage.values()) + self.blind
 
-    def fraction(self, label: str) -> float:
-        """Share of resent events drawn from one class (or 'blind')."""
+    def fraction(self, label: str) -> float | np.ndarray:
+        """Share of resent events drawn from one class (or 'blind');
+        elementwise, and 0 where nothing is resent."""
         total = self.total_usage
-        if total == 0.0:
-            return 0.0
         used = self.blind if label == "blind" else self.usage[label]
-        return used / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(total == 0.0, 0.0, np.divide(used, total))[()]
 
 
-def allocate(mu: float, t_ab: float) -> CaseMix:
-    """Fill the receiver's expected photon-arrival rate mu * t_ab greedily.
+def allocate(mu: float, t_ab: float | np.ndarray) -> CaseMix:
+    """Fill the receiver's expected photon-arrival rate mu * t_ab greedily;
+    elementwise in ``t_ab``.
 
     Detector efficiency cancels: resent single photons face the same
     detectors as the original pulses, so matching the photon-arrival rate
     matches the click rate.  Supply per class is the exact detection
-    probability (1 - e^-mu) times the conditional class probability.
+    probability (1 - e^-mu) times the conditional class probability.  Each
+    class in ``GREEDY_ORDER`` takes what it can of the demand left; once a
+    class covers it, the demand left is exactly 0 and later classes take 0.
     """
-    if not 0 <= t_ab <= 1:
+    t_ab = np.asarray(t_ab, dtype=float)[()]
+    if not np.all((t_ab >= 0) & (t_ab <= 1)):
         raise ValueError(f"t_ab must be in [0, 1], got {t_ab}")
     cases = case_table(mu)
     required = mu * t_ab
     p_detect = -math.expm1(-mu)
     supply = {c.label: p_detect * c.p_cond for c in cases}
 
-    usage = {label: 0.0 for label in CASE_LABELS}
+    usage = dict.fromkeys(CASE_LABELS)
     remaining = required
     for label in GREEDY_ORDER:
-        take = min(remaining, supply[label])
-        usage[label] = take
-        remaining -= take
-        if remaining <= 0:
-            remaining = 0.0
-            break
+        usage[label] = np.minimum(remaining, supply[label])
+        remaining = remaining - usage[label]
 
     return CaseMix(
         mu=mu,
@@ -143,33 +150,30 @@ def allocate(mu: float, t_ab: float) -> CaseMix:
     )
 
 
-def info_per_error(mix: CaseMix) -> float | None:
-    """Usage-weighted information divided by usage-weighted error.
-
-    Returns None when the mix creates no errors at all (empty mix), where
-    the ratio is undefined.
+def info_per_error(mix: CaseMix) -> float | np.ndarray:
+    """Usage-weighted information divided by usage-weighted error;
+    elementwise, and NaN where the mix creates no errors at all (an empty
+    mix), where the ratio is undefined.
     """
     by_label = {c.label: c for c in (mix.cases or case_table(mix.mu))}
     info = sum(mix.usage[lb] * by_label[lb].info for lb in CASE_LABELS)
-    qber = sum(mix.usage[lb] * by_label[lb].qber for lb in CASE_LABELS)
-    qber += mix.blind * 0.5
-    if qber == 0.0:
-        return None
-    return info / qber
+    qber = sum(mix.usage[lb] * by_label[lb].qber for lb in CASE_LABELS) + mix.blind * 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(qber == 0.0, np.nan, np.divide(info, qber))[()]
 
 
-def attributed_info(mix: CaseMix, qber_eve: float) -> float:
-    """Information credited to the eavesdropper for an attributed error budget.
+def attributed_info(mix: CaseMix, qber_eve: float | np.ndarray) -> float | np.ndarray:
+    """Information credited to the eavesdropper for an attributed error
+    budget; elementwise.
 
     She converts each tolerated error into information at the mix's
-    information-per-error ratio; the result is clamped to one bit.
+    information-per-error ratio; the result is clamped to one bit, and is 0
+    where the ratio is undefined.  A negative or NaN budget is rejected.
     """
-    if qber_eve < 0:
+    if not np.all(np.greater_equal(qber_eve, 0)):
         raise ValueError(f"qber_eve must be >= 0, got {qber_eve}")
-    ratio = info_per_error(mix)
-    if ratio is None:
-        return 0.0
-    return min(1.0, max(0.0, ratio * qber_eve))
+    # fmax takes 0 over the NaN of an undefined ratio
+    return np.minimum(1.0, np.fmax(0.0, info_per_error(mix) * qber_eve))
 
 
 def pure_b_crossover_km(mu: float, alpha_ab: float) -> float:
@@ -190,21 +194,14 @@ def regime_curve(
     d_max: float = 120.0,
     step: float = 1.0,
 ) -> list[dict[str, float]]:
-    """Rows (distance, ratio, mix fractions) for the regime plot."""
-    rows: list[dict[str, float]] = []
-    for d in distance_grid(d_min, d_max, step):
-        mix = allocate(mu, transmission(alpha_ab * d))
-        ratio = info_per_error(mix)
-        rows.append(
-            {
-                "distance_km": d,
-                "ratio": float("nan") if ratio is None else ratio,
-                "frac_A": mix.fraction("A"),
-                "frac_B": mix.fraction("B"),
-                "frac_C": mix.fraction("C"),
-                "frac_D": mix.fraction("D"),
-                "frac_blind": mix.fraction("blind"),
-                "deficit": float(mix.deficit),
-            }
-        )
-    return rows
+    """Rows (distance, ratio, mix fractions) for the regime plot, from one
+    allocation over the whole distance grid."""
+    d = np.asarray(distance_grid(d_min, d_max, step))
+    mix = allocate(mu, transmission(alpha_ab * d))
+    columns = {
+        "distance_km": d,
+        "ratio": info_per_error(mix),
+        **{f"frac_{label}": mix.fraction(label) for label in (*CASE_LABELS, "blind")},
+        "deficit": mix.deficit.astype(float),
+    }
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]

@@ -181,3 +181,27 @@ def test_negative_traced_count_is_rejected(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                           "--workload", "w", "--seed", "0", "--traced", "-1"])
+
+
+def test_report_counts_the_source_lines_of_each_tree(monkeypatch, tmp_path):
+    def fake_run(tree, args):
+        return {"environment": {}, "minor_faults": 0, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    files = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+             "change": {"a.py": "x = 1\n", "b.py": "", "c.py": "w = 4"}}
+    for side, modules in files.items():
+        package = tmp_path / side / "src" / "qkd_eve_lab"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not counted\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--seed", "0",
+                             "--pairs", "1", "--out", str(out)]) == 0
+    # like wc -l, a last line without a newline is not counted
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}

@@ -326,6 +326,21 @@ class TestStrictBooleans:
         assert "channel.monitor_tof" in capsys.readouterr().err
 
 
+class TestStrategyAMuDomain:
+    """Strategy A's class-A weight 1 - mu/2 is negative above mu = 2, so each
+    command that solves strategy A there exits 1 instead of writing numbers."""
+
+    @pytest.mark.parametrize("argv", [
+        ["strategy-a", "--set", "source.mu=3"],
+        ["rates", "--set", "rates.mu_values=2.5", "--set", "sweep.step=50"],
+        ["montecarlo", "--set", "source.mu=3", "--set", "eve.model=strategy-a",
+         "--set", "sim.pulses=1e4"],
+    ])
+    def test_exits_one(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "mu" in capsys.readouterr().err
+
+
 class TestDarkCountCap:
     def test_dark_count_probability_above_one_exits_one(self, capsys):
         rc = main(["montecarlo", "--set", "detector.p_dark=2",

@@ -2,16 +2,24 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkd_eve_lab import keyrate, strategy_a
+from qkd_eve_lab.cli import main
+from qkd_eve_lab.config import SystemConfig
 from qkd_eve_lab.core_stats import (
     DetectorParams,
+    EveModel,
     SourceParams,
     p_single,
     transmission,
 )
 from qkd_eve_lab.strategy_a import (
     CASE_LABELS,
+    GREEDY_ORDER,
     INTERMEDIATE_STATE_QBER,
     CaseMix,
     allocate,
@@ -63,6 +71,12 @@ class TestCaseTable:
             case_table(0.0)
         with pytest.warns(UserWarning):
             case_table(0.5)
+
+    @pytest.mark.parametrize("mu", [2.0, 3.0, math.inf, math.nan])
+    def test_class_a_probability_must_stay_positive(self, mu):
+        # class A's conditional probability 1 - mu/2 is not positive from mu = 2
+        with pytest.raises(ValueError, match="mu"):
+            case_table(mu)
 
 
 def _pure_mix(label: str, amount: float = 1e-3, mu: float = 0.1) -> CaseMix:
@@ -144,7 +158,7 @@ class TestInfoPerError:
         usage = {lb: 0.0 for lb in CASE_LABELS}
         empty = CaseMix(mu=0.1, t_ab=0.0, required_rate=0.0, supply=usage.copy(),
                         usage=usage)
-        assert info_per_error(empty) is None
+        assert math.isnan(info_per_error(empty))
 
     def test_monotone_with_distance_until_saturation(self):
         prev = -1.0
@@ -204,6 +218,17 @@ class TestAttributedInfo:
         with pytest.raises(ValueError):
             attributed_info(_pure_mix("B"), -0.01)
 
+    @pytest.mark.parametrize("budget", [math.nan, [0.01, -0.01], [0.01, math.nan]])
+    def test_nan_or_negative_element_rejected(self, budget):
+        with pytest.raises(ValueError):
+            attributed_info(_pure_mix("B"), np.asarray(budget))
+
+    def test_empty_mix_credits_nothing(self):
+        usage = {lb: 0.0 for lb in CASE_LABELS}
+        empty = CaseMix(mu=0.1, t_ab=0.0, required_rate=0.0, supply=usage.copy(),
+                        usage=usage)
+        assert attributed_info(empty, 0.01) == 0.0
+
 
 class TestRegimeCurve:
     def test_rows_and_plateau(self):
@@ -218,3 +243,122 @@ class TestRegimeCurve:
         # short distances are deficit territory, dominated by class A
         assert rows[0]["deficit"] == 1.0
         assert rows[0]["frac_A"] > 0.9
+
+
+def _reference_allocate(mu: float, t_ab: float) -> dict:
+    """The scalar greedy loop with its early exit, kept as a reference."""
+    cases = case_table(mu)
+    required = mu * t_ab
+    p_detect = -math.expm1(-mu)
+    supply = {c.label: p_detect * c.p_cond for c in cases}
+    usage = {label: 0.0 for label in CASE_LABELS}
+    remaining = required
+    for label in GREEDY_ORDER:
+        take = min(remaining, supply[label])
+        usage[label] = take
+        remaining -= take
+        if remaining <= 0:
+            remaining = 0.0
+            break
+    by_label = {c.label: c for c in cases}
+    info = sum(usage[lb] * by_label[lb].info for lb in CASE_LABELS)
+    qber = sum(usage[lb] * by_label[lb].qber for lb in CASE_LABELS)
+    qber += remaining * 0.5
+    ratio = None if qber == 0.0 else info / qber
+    return {"usage": usage, "blind": remaining, "deficit": remaining > 0, "ratio": ratio}
+
+
+def _reference_credit(ratio: float | None, qber_eve: float) -> float:
+    return 0.0 if ratio is None else min(1.0, max(0.0, ratio * qber_eve))
+
+
+def _same(a, b) -> bool:
+    """Equal with ==, NaN matching NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def _links(draw):
+    """mu in (0, 0.2] and transmittances with the fill's boundaries among them."""
+    mu = draw(st.floats(min_value=0.0, max_value=0.2, exclude_min=True))
+    t_star = -math.expm1(-mu) / 4.0
+    special = [0.0, 1.0, t_star, t_star * (1 + 1e-12), t_star * (1 - 1e-12),
+               5e-324, 2.2250738585072014e-308 / 3]
+    t = draw(st.lists(st.one_of(st.sampled_from(special),
+                                st.floats(min_value=0.0, max_value=1.0),
+                                st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+                      min_size=1, max_size=12))
+    budget = draw(st.lists(st.floats(min_value=0.0, max_value=0.5),
+                           min_size=len(t), max_size=len(t)))
+    return mu, np.array(t), np.array(budget)
+
+
+class TestArrayFill:
+    @given(_links())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_greedy_loop(self, link):
+        mu, t, budget = link
+        mix = allocate(mu, t)
+        ratio = info_per_error(mix)
+        credit = attributed_info(mix, budget)
+        for i, (t_i, b_i) in enumerate(zip(t.tolist(), budget.tolist())):
+            ref = _reference_allocate(mu, t_i)
+            for label in CASE_LABELS:
+                assert mix.usage[label][i] == ref["usage"][label]
+            assert mix.blind[i] == ref["blind"]
+            assert mix.deficit[i] == ref["deficit"]
+            assert _same(ratio[i], math.nan if ref["ratio"] is None else ref["ratio"])
+            assert credit[i] == _reference_credit(ref["ratio"], b_i)
+
+    def test_scalar_link_gives_scalars(self):
+        mix = allocate(0.1, 0.01)
+        assert np.ndim(mix.usage["B"]) == np.ndim(mix.blind) == np.ndim(mix.deficit) == 0
+        assert np.ndim(info_per_error(mix)) == np.ndim(mix.fraction("B")) == 0
+        assert attributed_info(mix, 0.01) == pytest.approx(0.0682843, abs=1e-6)
+
+    def test_array_shapes(self):
+        t = np.array([[1.0, 0.05], [0.01, 0.0]])
+        mix = allocate(0.1, t)
+        assert mix.required_rate.shape == mix.blind.shape == mix.deficit.shape == t.shape
+        assert all(mix.usage[lb].shape == t.shape for lb in CASE_LABELS)
+        assert all(np.ndim(mix.supply[lb]) == 0 for lb in CASE_LABELS)
+        assert mix.deficit.tolist() == [[True, False], [False, False]]
+        assert mix.fraction("blind")[1, 1] == 0.0  # nothing resent
+        assert math.isnan(info_per_error(mix)[1, 1])
+
+    @pytest.mark.parametrize("t_ab", [[0.5, 1.5], [0.5, -1e-9], [0.5, math.nan]])
+    def test_invalid_t_in_an_array(self, t_ab):
+        with pytest.raises(ValueError):
+            allocate(0.1, np.array(t_ab))
+
+
+@pytest.fixture
+def allocate_calls(monkeypatch):
+    """Counts the calls of strategy_a.allocate, wherever they come from."""
+    calls = []
+    real = strategy_a.allocate
+
+    def counted(mu, t_ab):
+        calls.append(np.shape(t_ab))
+        return real(mu, t_ab)
+
+    monkeypatch.setattr(strategy_a, "allocate", counted)
+    return calls
+
+
+class TestOneCallPerArray:
+    def test_curve(self, allocate_calls):
+        points = keyrate.curve(EveModel.STRATEGY_A, SystemConfig(), 0.0, 200.0, 1.0)
+        assert len(points) == 201
+        assert allocate_calls == [(201,)]
+
+    def test_regime_curve(self, allocate_calls):
+        rows = regime_curve(0.1, 0.25, 0.0, 120.0, 0.5)
+        assert len(rows) == 241
+        assert allocate_calls == [(241,)]
+
+    def test_default_rates_run(self, allocate_calls, tmp_path, capsys):
+        # Three mu values, one curve each, and one max_distance: a grid pass
+        # and five halvings.
+        assert main(["rates", "--out", str(tmp_path / "rates.csv")]) == 0
+        assert len(allocate_calls) == 9

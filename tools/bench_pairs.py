@@ -26,7 +26,9 @@ which covers the pool workers it waited for.  ``--traced N`` adds N traced
 runs (``--trace 1``) per tree, alternating the same way with seed SEED+i in
 run i, and gives the median and quartiles of each Monte Carlo and analytic
 layer metric: one traced pass cannot resolve a change of 20% in one
-config's throughput.  Uses the standard library only.
+config's throughput.  ``src_lines`` gives each tree's line count of
+``src/qkd_eve_lab/*.py``, as ``wc -l`` counts it.  Uses the standard
+library only.
 """
 from __future__ import annotations
 
@@ -54,6 +56,12 @@ def run_bench(tree: Path, args: list[str]) -> dict:
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
     return {"environment": env, "minor_faults": faults, **json.loads(lines[-1])}
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the package's modules, the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "qkd_eve_lab").glob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -137,7 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     seconds = contract["run_seconds"]
     report = {"command": "python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
-              "pairs": args.pairs, "workloads": {}}
+              "pairs": args.pairs,
+              "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+              "workloads": {}}
     if args.traced:
         report["traced"] = bench_traced(trees, args.workload[0], args.seed, args.traced)
     for workload in args.workload:
