@@ -19,19 +19,29 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   where the entry is at most the draw's uniform.  Each detector's dark
   counts, a Bernoulli(p_dark) process, are placed the same way from
   ``_COL_DARK_0`` / ``_COL_DARK_1``.
-* The channel and eavesdropper columns draw one uniform per active pulse,
+* The channel and eavesdropper columns draw one value per active pulse,
   in pulse order: the occupied and dark-count pulses, or the whole block
   when strategy A resends vacuum pulses as blind states.  Such a
-  blind-filled block draws ``_COL_EVE_SPLIT``, ``_COL_EVE_AUX``,
-  ``_COL_EVE_USE``, ``_COL_EVE_ERR`` and, when ``attack_fraction`` < 1,
-  ``_COL_EVE_INTERCEPT`` and ``_COL_CHANNEL`` for every pulse, but reads a
-  vacuum pulse's uniform only for interception, the blind resend
-  (``_COL_EVE_USE``) and its random bit (``_COL_EVE_ERR``); the photon-number
-  cases are computed on the occupied pulses alone.
+  blind-filled block draws ``_COL_EVE_USE``, ``_COL_EVE_ERR`` and, when
+  ``attack_fraction`` < 1, ``_COL_EVE_INTERCEPT`` for every pulse, since a
+  vacuum pulse reads them for the blind resend, its random bit and
+  interception.  Strategy A's photon-number columns, ``_COL_EVE_SPLIT``,
+  ``_COL_EVE_AUX`` and ``_COL_CHANNEL``, draw for the occupied pulses
+  alone, in pulse order, whatever the block's active pulses are.
 * The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
-  ``_COL_QBER_FLIP``) draw one uniform per pulse, in pulse order, only
+  ``_COL_QBER_FLIP``) draw one value per pulse, in pulse order, only
   where a photon reaches Bob's detectors or a detector fires a dark count.
-* A decision whose outcome is certain reads no uniform: Binomial(n, 1) is
+* A fair coin reads raw Philox bits, not a uniform.  A u < 1/2 decision
+  (``_COL_ALICE_BIT``, ``_COL_BOB_BASIS``, strategy B's ``_COL_EVE_AUX``)
+  takes bit ``i % 64`` of raw word ``i // 64`` for pulse i.  A
+  Binomial(n, 1/2) draw (``_COL_BOB_SPLIT``, strategy A's
+  ``_COL_EVE_SPLIT`` and ``_COL_EVE_AUX``) counts the set bits among the
+  low n of one raw word each, which n <= ``PHOTON_CAP`` < 64 allows (Knuth,
+  TAOCP Vol. 2, 3.4.1).  Any other decision whose probability is exactly
+  1/2 (an eta_b, lambda or gamma of 1/2) draws the same way.  Every other
+  probability reads one uniform per draw; ``_COL_EVE_ERR`` mixes
+  probabilities per pulse, so it reads uniforms too.
+* A decision whose outcome is certain draws nothing: Binomial(n, 1) is
   n, Binomial(n, 0) is 0, u < 1 always holds and u < 0 never does.  So
   ``_COL_QBER_FLIP`` is not drawn at ``qber_opt`` = 0, ``_COL_DARK_0`` and
   ``_COL_DARK_1`` at ``p_dark`` in {0, 1}, ``_COL_CHANNEL`` at t_ab = 1 (or
@@ -52,8 +62,9 @@ stream is per pulse: cost scales with the pulses that carry light or click.
 * Streams are repositioned, not rebuilt.  A chunk holds one Philox
   generator and, for each draw, resets its counter to (0, block, column, 1),
   which gives the draws of a stream built afresh at that counter (Salmon et
-  al., SC'11).  A stream is valid only until the next reset.  Every draw
-  lands in one buffer of the chunk, so it is used before the next draw.
+  al., SC'11).  A stream is valid only until the next reset.  Every uniform
+  draw lands in one buffer of the chunk, so it is used before the next
+  draw; raw-bit draws return fresh arrays.
 """
 from __future__ import annotations
 
@@ -71,6 +82,7 @@ from .keyrate import EveModel
 from .strategy_b import BeamsplitAttack
 
 PHOTON_CAP = 20
+assert PHOTON_CAP < 64  # a Binomial(n, 1/2) draw is the low n bits of one word
 
 # Pulses per block of the random streams.  Tallies at a given seed depend on
 # it, so it is fixed rather than configurable.
@@ -94,13 +106,27 @@ _COL_DARK_1 = 13
 _COL_EVE_INTERCEPT = 14
 
 
+# Masks of the low n bits of a word, n = 0..PHOTON_CAP.
+_LOW_BITS = (np.uint64(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint64)) - np.uint64(1)
+
+
+def _halves_from_words(n: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Binomial(n, 1/2) per draw, one uint64 word each: the count of set
+    bits among the word's low n, so bits above n are ignored.  ``words`` is
+    overwritten; the draws have the dtype of ``n``."""
+    words &= _LOW_BITS.take(n)
+    return np.bitwise_count(words).astype(n.dtype)
+
+
 class _Streams:
     """The block streams of one seed, all served by one Philox generator.
 
     ``stream`` repositions the generator at the start of a stream by
     resetting its counter, so a stream is valid only until the next reset.
-    Draws land in ``buffer``, one array reused by every draw, so what
-    ``uniforms`` returns is valid only until the next draw.
+    ``uniforms`` lands its draws in ``buffer``, one array reused by every
+    uniform draw, so what it returns is valid only until the next one.
+    ``bits`` and ``halves`` read the generator's raw 64-bit words and
+    return fresh arrays.
     """
 
     def __init__(self, seed: int) -> None:
@@ -119,6 +145,19 @@ class _Streams:
     def uniforms(self, column: int, block: int, size: int) -> np.ndarray:
         """The first ``size`` uniforms of a stream."""
         return self.stream(column, block).random(out=self.buffer[:size])
+
+    def bits(self, column: int, block: int, size: int) -> np.ndarray:
+        """``size`` fair coins of a stream as booleans: bit ``i % 64`` of raw
+        word ``i // 64`` decides pulse ``i``."""
+        self.stream(column, block)
+        words = self._bitgen.random_raw(-(-size // 64)).astype("<u8", copy=False)
+        return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
+
+    def halves(self, column: int, block: int, n: np.ndarray) -> np.ndarray:
+        """Binomial(n, 1/2) per entry of ``n``, one raw word of a stream each
+        (``_halves_from_words``)."""
+        self.stream(column, block)
+        return _halves_from_words(n, self._bitgen.random_raw(n.size))
 
 
 def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int,
@@ -469,25 +508,29 @@ def _simulate_block(
     for dark, at in zip(darks, dark_at):
         dark[at] = True
 
-    # A decision whose outcome is certain reads no uniform.  Each column owns
-    # its stream, so skipping one moves no other draw.
+    # A decision whose outcome is certain draws nothing, and a fair one reads
+    # raw bits.  Each column owns its stream, so skipping one moves no other
+    # draw.
     def uniforms(column: int, size: int = m) -> np.ndarray:
         return streams.uniforms(column, block, size)
 
-    def binomial(column: int, n: np.ndarray, p: float,
-                 at: np.ndarray | slice | None = None) -> np.ndarray:
-        """Binomial(n, p) per entry of ``n``, one uniform each from
-        ``column``; with ``at``, ``n`` holds the active pulses ``at`` and
-        reads their uniforms among the m.  At p = 1 this is ``n`` itself."""
+    def binomial(column: int, n: np.ndarray, p: float) -> np.ndarray:
+        """Binomial(n, p) per entry of ``n`` from ``column``: a popcount of
+        raw bits at p = 1/2, else one uniform each.  At p = 1 this is ``n``
+        itself."""
         if not 0.0 < p < 1.0:
             return n if p >= 1.0 else np.zeros_like(n)
-        u = uniforms(column, n.size) if at is None else uniforms(column)[at]
-        return _binomial_from_u(n, u, _binomial_cdf_table(p))
+        if p == 0.5:
+            return streams.halves(column, block, n)
+        return _binomial_from_u(n, uniforms(column, n.size), _binomial_cdf_table(p))
 
     def chance(column: int, p: float, size: int = m) -> np.ndarray:
-        """u < p per pulse, one uniform each from ``column``."""
+        """u < p per pulse from ``column``: one raw bit each at p = 1/2, else
+        one uniform each."""
         if not 0.0 < p < 1.0:
             return np.full(size, p >= 1.0)
+        if p == 0.5:
+            return streams.bits(column, block, size)
         return uniforms(column, size) < p
 
     def decide(column: int, p_vacuum: float, p_occupied) -> np.ndarray:
@@ -508,8 +551,8 @@ def _simulate_block(
         # bit whenever a photon is in her right basis; with none she resends
         # a random bit.
         p = policy
-        k_right = binomial(_COL_EVE_SPLIT, n, 0.5, at=pos)
-        k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5, at=pos)
+        k_right = binomial(_COL_EVE_SPLIT, n, 0.5)
+        k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5)
         case, error = _strategy_a_codes(n, k_right, k_w0)
         resend = decide(_COL_EVE_USE, p.blind_prob, np.take(p.resend_prob, case))
         intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction)
@@ -522,7 +565,7 @@ def _simulate_block(
         # pulses she left alone travel the installed fiber.
         arrivals = resend.view(np.int8)  # resend is not read again
         if p.attack_fraction < 1.0:
-            passed = binomial(_COL_CHANNEL, n, tables.channel, at=pos)
+            passed = binomial(_COL_CHANNEL, n, tables.channel)
             merged = arrivals[pos]
             np.copyto(merged, passed, where=~intercepted[pos])
             arrivals[pos] = merged

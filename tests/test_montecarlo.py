@@ -28,9 +28,12 @@ from qkd_eve_lab.core_stats import (
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
     _COL_BOB_DETECT,
+    _COL_BOB_SPLIT,
     _COL_CHANNEL,
     _COL_DARK_0,
     _COL_DARK_1,
+    _COL_EVE_AUX,
+    _COL_EVE_SPLIT,
     _COL_EVE_USE,
     _COL_N,
     _COL_PHOTONS,
@@ -38,6 +41,7 @@ from qkd_eve_lab.montecarlo import (
     BLOCK,
     FAMILY_ALPHA,
     PHOTON_CAP,
+    _LOW_BITS,
     _RESEND_ERROR_PROB,
     Report,
     SimConfig,
@@ -47,6 +51,7 @@ from qkd_eve_lab.montecarlo import (
     _binomial_cdf_table,
     _binomial_from_u,
     _clicks,
+    _halves_from_words,
     _photons_from_u,
     _strategy_a_codes,
     binomial_p_value,
@@ -208,6 +213,49 @@ class TestBinomialFromU:
         with pytest.raises(ValueError):
             table[0, 0] = 0.5
         assert table.tobytes() == _fresh_binomial_table(0.37).tobytes()
+
+
+class TestFairCoins:
+    """Fair coins read raw Philox words: one bit per u < 1/2 decision and a
+    popcount of the low n bits of one word per Binomial(n, 1/2) draw."""
+
+    SEED = 2**128 - 159
+
+    @staticmethod
+    def _raw(seed, column, block, size):
+        return np.random.Philox(key=seed, counter=[0, block, column, 1]).random_raw(size)
+
+    @pytest.mark.parametrize("n", range(PHOTON_CAP + 1))
+    def test_halves_is_binomial_over_every_low_bit_pattern(self, n):
+        patterns = np.arange(2**n, dtype=np.uint64)
+        high = np.random.default_rng(n).integers(0, 2**64 - 1, size=2**n, dtype=np.uint64,
+                                                 endpoint=True) & ~_LOW_BITS[n]
+        counts = np.full(2**n, n, dtype=np.int8)
+        k = _halves_from_words(counts, patterns | high)
+        assert k.dtype == np.int8
+        assert np.array_equal(k, _halves_from_words(counts, patterns.copy()))
+        cdf = np.cumsum(np.bincount(k, minlength=n + 1)) / 2**n
+        assert np.array_equal(cdf, _binomial_cdf_table(0.5)[n, : n + 1])
+
+    def test_halves_reads_one_word_of_the_stream_per_draw(self):
+        n = np.repeat(np.arange(PHOTON_CAP + 1, dtype=np.int8), 7)
+        streams = _Streams(self.SEED)
+        streams.uniforms(_COL_N, 0, 3)  # another stream first
+        words = self._raw(self.SEED, _COL_EVE_SPLIT, 5, n.size)
+        expected = [bin(int(w) & (2**int(k) - 1)).count("1") for w, k in zip(words, n)]
+        assert streams.halves(_COL_EVE_SPLIT, 5, n).tolist() == expected
+
+    @given(size=st.integers(0, 700), column=st.sampled_from(COLUMNS),
+           block=st.integers(0, 2**20))
+    @hyp_settings(max_examples=100, deadline=None)
+    def test_bit_i_of_word_i_over_64_decides_pulse_i(self, size, column, block):
+        streams = _Streams(self.SEED)
+        streams.halves(_COL_BOB_SPLIT, block, np.ones(3, dtype=np.int8))  # another stream first
+        coins = streams.bits(column, block, size)
+        words = self._raw(self.SEED, column, block, -(-size // 64))
+        assert coins.dtype == bool and coins.shape == (size,)
+        assert coins.tolist() == [bool(int(words[i // 64]) >> (i % 64) & 1)
+                                  for i in range(size)]
 
 
 def _photon_table(mu, truncated=True):
@@ -498,6 +546,34 @@ class TestCertainDecisions:
         assert drawn >= self.SKIPPABLE - ({_COL_EVE_USE} if attack is None else set())
 
 
+class TestStrategyADrawSizes:
+    def test_photon_splits_are_drawn_on_occupied_pulses_only(self, monkeypatch):
+        """A blind-filled block reads every pulse for the blind resend, but
+        draws the photon splits and the channel for its occupied pulses
+        alone."""
+        sizes = {}
+        halves, uniforms = _Streams.halves, _Streams.uniforms
+
+        def recording_halves(self, column, block, n):
+            sizes[column] = n.size
+            return halves(self, column, block, n)
+
+        def recording_uniforms(self, column, block, size):
+            sizes[column] = size
+            return uniforms(self, column, block, size)
+
+        monkeypatch.setattr(_Streams, "halves", recording_halves)
+        monkeypatch.setattr(_Streams, "uniforms", recording_uniforms)
+        cfg = SimConfig(system=make_system(mu=0.2, length=1.0), eve_model=EveModel.STRATEGY_A,
+                        distance_km=1.0, attack_fraction=0.6, n_pulses=BLOCK, seed=6)
+        assert montecarlo._strategy_a_policy(cfg).blind_prob > 0
+        assert simulate(cfg).sifted > 0
+        occupied = _occupied_pulses(_Streams(6), 0, BLOCK, _Tables.build(cfg))[0].size
+        assert 0 < occupied < BLOCK // 4
+        assert sizes[_COL_EVE_USE] == BLOCK
+        assert sizes[_COL_EVE_SPLIT] == sizes[_COL_EVE_AUX] == sizes[_COL_CHANNEL] == occupied
+
+
 class TestBlockMemory:
     def test_dense_strategy_a_peak_allocation(self):
         """A blind-filled block computes strategy A on its occupied pulses
@@ -587,6 +663,17 @@ def _z(count, trials, p):
     return (count - trials * p) / math.sqrt(trials * p * (1 - p))
 
 
+def _lower_tail_bound(trials, p, alpha):
+    """The largest c with P(X < c) <= alpha for X ~ Binomial(trials, p), so
+    a tally below c falsely alarms at a rate of at most alpha."""
+    tail = 0.0
+    for c in range(trials + 1):
+        tail += math.comb(trials, c) * p**c * (1.0 - p) ** (trials - c)  # P(X <= c)
+        if tail > alpha:
+            return c
+    return trials + 1
+
+
 class TestCleanChannel:
     def test_singles_and_sifting_at_60km(self):
         system = make_system(qber_opt=0.005)
@@ -616,11 +703,26 @@ class TestCleanChannel:
         assert sim.coincidences_all == sim.coincidences
 
     def test_dark_counts_dominate_long_links(self):
+        """Clicks are nearly pure noise at 200 km: the expected QBER is
+        p_dark / (p_s + 2 p_dark) = 0.4975 on about 20 sifted bits.
+
+        The errors must reach the one-sided binomial lower-tail bound of
+        that QBER given the sifted count, so the test falsely alarms at a
+        rate of at most 1e-3 at any sifted count: at 20 sifted bits it
+        needs 3 errors, at a false-alarm rate of 2.0e-4.  Its power against
+        the dark-free channel, whose QBER is qber_opt = 0 so that it makes
+        no error, is 1 wherever the bound needs an error, that is from 11
+        sifted bits on.
+        """
         system = make_system(length=200.0, p_dark=1e-5)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.NONE,
                                  distance_km=200.0, n_pulses=N_FAST, seed=104))
-        q, dq = sim.qber_hat
-        assert q > 0.3  # clicks are nearly pure noise this far out
+        p_s = -math.expm1(-0.1 * system.t_ab(200.0) * 0.1)
+        qber = system.detector.p_dark / (p_s + 2 * system.detector.p_dark)
+        assert qber == pytest.approx(0.4975, abs=5e-5)
+        assert _lower_tail_bound(20, qber, 1e-3) == 3
+        assert _lower_tail_bound(10, qber, 1e-3) == 0 < _lower_tail_bound(11, qber, 1e-3)
+        assert sim.errors >= _lower_tail_bound(sim.sifted, qber, 1e-3)
 
 
 class TestStrategyA:
