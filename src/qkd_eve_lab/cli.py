@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -59,20 +60,35 @@ def _write_lines(out: Path | None, lines: list[str]) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _write_csv(
-    out: Path | None,
+def _write_whole(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` to a temporary name beside ``path``, then rename it
+    over ``path``, so a failed write leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        _write_lines(tmp, lines)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _csv_lines(
     settings: Settings,
     columns: list[str],
     rows: list[tuple],
     extra_header: dict[str, str] | None = None,
-) -> None:
+) -> list[str]:
     lines = _header_lines(settings)
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key} = {val}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(out, lines)
+    return lines
+
+
+def _write_csv(out: Path | None, settings: Settings, columns: list[str], rows: list[tuple],
+               extra_header: dict[str, str] | None = None) -> None:
+    _write_lines(out, _csv_lines(settings, columns, rows, extra_header))
 
 
 def _sweep(settings: Settings) -> tuple[float, float, float]:
@@ -209,28 +225,31 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
     d_min, d_max, step = _sweep(settings)
     stem = args.out if args.out is not None else Path("rates.csv")
+    # Every file is computed before any is written, so a failed run writes none.
+    files: dict[Path, list[str]] = {}
 
-    def write_curve(model: EveModel, mu: float, points: list[keyrate.RatePoint]) -> None:
+    def add_curve(model: EveModel, mu: float, points: list[keyrate.RatePoint]) -> None:
         path = stem.with_name(f"{stem.stem}_{model.value}_mu{mu:g}{stem.suffix}")
-        _write_csv(path, settings, _RATE_COLUMNS, _curve_rows(points),
-                   extra_header={"eve_model": model.value, "mu": f"{mu:g}"})
+        files[path] = _csv_lines(settings, _RATE_COLUMNS, _curve_rows(points),
+                                 extra_header={"eve_model": model.value, "mu": f"{mu:g}"})
 
     # The unlimited model optimises mu, so one curve serves every mu value.
     unlimited = keyrate.curve(EveModel.UNLIMITED, system, d_min, d_max, step)
     for mu in settings.mu_values:
         for model in (EveModel.NONE, EveModel.STRATEGY_A):
-            write_curve(model, mu, keyrate.curve(model, system.with_mu(mu), d_min, d_max, step))
-        write_curve(EveModel.UNLIMITED, mu, unlimited)
+            add_curve(model, mu, keyrate.curve(model, system.with_mu(mu), d_min, d_max, step))
+        add_curve(EveModel.UNLIMITED, mu, unlimited)
     for model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
-        write_curve(model, settings.mu, keyrate.curve(model, system, d_min, d_max, step))
+        add_curve(model, settings.mu, keyrate.curve(model, system, d_min, d_max, step))
 
-    table_rows = []
-    for model in EveModel:
-        d_max_km = keyrate.max_distance(model, system)
-        table_rows.append((model.value, settings.mu, d_max_km))
+    table_rows = [(model.value, settings.mu, keyrate.max_distance(model, system))
+                  for model in EveModel]
+    files[stem] = _csv_lines(settings, ["eve_model", "mu", "max_distance_km"], table_rows)
+    for path, lines in files.items():
+        _write_whole(path, lines)
+    for model, _, d_max_km in table_rows:
         label = "unbounded at grid limit" if math.isinf(d_max_km) else f"{d_max_km:.1f} km"
-        print(f"max distance {model.value}: {label}")
-    _write_csv(stem, settings, ["eve_model", "mu", "max_distance_km"], table_rows)
+        print(f"max distance {model}: {label}")
     return EXIT_OK
 
 

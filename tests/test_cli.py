@@ -341,6 +341,31 @@ class TestStrategyAMuDomain:
         assert "mu" in capsys.readouterr().err
 
 
+class TestRatesFailureWritesNothing:
+    """``rates`` computes every curve and the cutoff table before it writes
+    a file, and writes each one whole under a temporary name first."""
+
+    @staticmethod
+    def _snapshot(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_failing_run_leaves_the_directory_as_it_found_it(self, tmp_path, capsys):
+        (tmp_path / "rates.csv").write_text("an earlier table\n")
+        (tmp_path / "rates_none_mu0.1.csv").write_text("an earlier curve\n")
+        before = self._snapshot(tmp_path)
+        assert main(["rates", "--out", str(tmp_path / "rates.csv"), "--set", "sweep.step=50",
+                     "--set", "rates.mu_values=0.1,2.5"]) == 1
+        assert "mu" in capsys.readouterr().err
+        assert self._snapshot(tmp_path) == before
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        (tmp_path / "rates.csv").mkdir()  # the table cannot replace a directory
+        assert main(["rates", "--out", str(tmp_path / "rates.csv"), "--set", "sweep.step=50",
+                     "--set", "rates.mu_values=0.1"]) == 1
+        assert not list(tmp_path.glob(".*"))
+        assert not list((tmp_path / "rates.csv").iterdir())
+
+
 class TestDarkCountCap:
     def test_dark_count_probability_above_one_exits_one(self, capsys):
         rc = main(["montecarlo", "--set", "detector.p_dark=2",
