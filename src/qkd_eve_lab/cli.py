@@ -86,8 +86,13 @@ def _csv_lines(
     return lines
 
 
-def _write_csv(out: Path | None, settings: Settings, columns: list[str], rows: list[tuple],
-               extra_header: dict[str, str] | None = None) -> None:
+def _write_csv(
+    out: Path | None,
+    settings: Settings,
+    columns: list[str],
+    rows: list[tuple],
+    extra_header: dict[str, str] | None = None,
+) -> None:
     _write_lines(out, _csv_lines(settings, columns, rows, extra_header))
 
 

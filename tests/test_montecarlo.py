@@ -230,10 +230,10 @@ class TestFairCoins:
         patterns = np.arange(2**n, dtype=np.uint64)
         high = np.random.default_rng(n).integers(0, 2**64 - 1, size=2**n, dtype=np.uint64,
                                                  endpoint=True) & ~_LOW_BITS[n]
-        counts = np.full(2**n, n, dtype=np.int8)
-        k = _halves_from_words(counts, patterns | high)
+        n_arr = np.full(2**n, n, dtype=np.int8)
+        k = _halves_from_words(n_arr, patterns | high)
         assert k.dtype == np.int8
-        assert np.array_equal(k, _halves_from_words(counts, patterns.copy()))
+        assert np.array_equal(k, _halves_from_words(n_arr, patterns.copy()))
         cdf = np.cumsum(np.bincount(k, minlength=n + 1)) / 2**n
         assert np.array_equal(cdf, _binomial_cdf_table(0.5)[n, : n + 1])
 
@@ -709,7 +709,7 @@ class TestCleanChannel:
         The errors must reach the one-sided binomial lower-tail bound of
         that QBER given the sifted count, so the test falsely alarms at a
         rate of at most 1e-3 at any sifted count: at 20 sifted bits it
-        needs 3 errors, at a false-alarm rate of 2.0e-4.  Its power against
+        needs 3 errors, at a false-alarm rate of 2.2e-4.  Its power against
         the dark-free channel, whose QBER is qber_opt = 0 so that it makes
         no error, is 1 wherever the bound needs an error, that is from 11
         sifted bits on.
