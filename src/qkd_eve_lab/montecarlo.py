@@ -19,15 +19,18 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   where the entry is at most the draw's uniform.  Each detector's dark
   counts, a Bernoulli(p_dark) process, are placed the same way from
   ``_COL_DARK_0`` / ``_COL_DARK_1``.
+* Strategy A's blind resends, which fill vacuum pulses when Eve runs short
+  of multiphoton pulses, are a Bernoulli(blind_prob * attack_fraction)
+  process placed the same way from ``_COL_EVE_BLIND``; a position that
+  falls on an occupied pulse is void, since only vacuum pulses are
+  blind-filled.
 * The channel and eavesdropper columns draw one value per active pulse,
-  in pulse order: the occupied and dark-count pulses, or the whole block
-  when strategy A resends vacuum pulses as blind states.  Such a
-  blind-filled block draws ``_COL_EVE_USE``, ``_COL_EVE_ERR`` and, when
-  ``attack_fraction`` < 1, ``_COL_EVE_INTERCEPT`` for every pulse, since a
-  vacuum pulse reads them for the blind resend, its random bit and
-  interception.  Strategy A's photon-number columns, ``_COL_EVE_SPLIT``,
+  in pulse order: the occupied, blind-resend and dark-count pulses, merged
+  by one boolean mark over the block.  Strategy A's photon-number columns,
+  ``_COL_EVE_USE``, ``_COL_EVE_INTERCEPT``, ``_COL_EVE_SPLIT``,
   ``_COL_EVE_AUX`` and ``_COL_CHANNEL``, draw for the occupied pulses
-  alone, in pulse order, whatever the block's active pulses are.
+  alone, in pulse order; ``_COL_EVE_ERR`` draws for every active pulse,
+  with p = 1/2 (a random bit) on vacuum pulses.
 * The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
   ``_COL_QBER_FLIP``) draw one value per pulse, in pulse order, only
   where a photon reaches Bob's detectors or a detector fires a dark count.
@@ -47,8 +50,9 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   ``_COL_DARK_1`` at ``p_dark`` in {0, 1}, ``_COL_CHANNEL`` at t_ab = 1 (or
   t_e = 1 under strategy B), ``_COL_BOB_DETECT`` at eta_b = 1,
   ``_COL_EVE_USE`` under strategy B at gamma in {0, 1}, ``_COL_EVE_SPLIT``
-  under strategy B at lambda in {0, 1}, and ``_COL_EVE_INTERCEPT`` at
-  ``attack_fraction`` in {0, 1}.  Every other column keeps its draws, so
+  under strategy B at lambda in {0, 1}, ``_COL_EVE_INTERCEPT`` at
+  ``attack_fraction`` in {0, 1}, and ``_COL_EVE_BLIND`` unless strategy A
+  blind-fills at ``attack_fraction`` > 0.  Every other column keeps its draws, so
   the tallies are the same either way.  Likewise a block without dark
   counts builds no dark-count masks, and a run without an eavesdropper no
   record of what she knows or alters.
@@ -104,6 +108,7 @@ _COL_QBER_FLIP = 11
 _COL_DARK_0 = 12
 _COL_DARK_1 = 13
 _COL_EVE_INTERCEPT = 14
+_COL_EVE_BLIND = 15
 
 
 # Masks of the low n bits of a word, n = 0..PHOTON_CAP.
@@ -460,6 +465,23 @@ def _occupied_pulses(streams: _Streams, block: int, length: int,
                                tables.photons)
 
 
+def _active_ranks(length: int, *sets: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The number m of pulses in the union of ``sets``, index arrays into
+    [0, length), and each set's indices among those m pulses in pulse order.
+
+    One boolean mark over the block, and an int32 rank at each marked
+    pulse: what sorting the union, dropping repeats and ``searchsorted``
+    each set into it gives.
+    """
+    mark = np.zeros(length, dtype=bool)
+    for at in sets:
+        mark[at] = True
+    active = np.flatnonzero(mark)
+    rank = np.empty(length, dtype=np.int32)  # read at marked pulses only
+    rank[active] = np.arange(active.size, dtype=np.int32)
+    return active.size, [rank[at] for at in sets]
+
+
 def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
     """Runs of whole blocks, ``batch_size`` rounded up to a multiple of BLOCK."""
     batch = -(-batch_size // BLOCK) * BLOCK
@@ -489,18 +511,17 @@ def _simulate_block(
     system: SystemConfig = cfg.system
 
     # The m active pulses are those that may click.  pos locates the occupied
-    # pulses, first in the block, then among the active pulses.
+    # pulses, blind the blind resends and dark_at each detector's dark counts,
+    # first in the block, then among the active pulses.
     pos, n = _occupied_pulses(streams, block, count, tables)
+    blind = _bernoulli_positions(streams, _COL_EVE_BLIND, block, count,
+                                 0.0 if policy is None
+                                 else policy.blind_prob * policy.attack_fraction)
     dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
     any_dark = bool(dark_at[0].size or dark_at[1].size)
-    if policy is not None and policy.blind_prob > 0:
-        m = count  # vacuum pulses are resent as blind states
-    elif any_dark:
-        active = np.sort(np.concatenate([pos, *dark_at]))
-        active = active[np.diff(active, prepend=-1) > 0]
-        m = active.size
-        pos, *dark_at = (np.searchsorted(active, at) for at in (pos, *dark_at))
+    if blind.size or any_dark:
+        m, (pos, blind, *dark_at) = _active_ranks(count, pos, blind, *dark_at)
     else:
         m, pos = pos.size, slice(None)
     # Each detector's dark counts over the active pulses; no rows without any.
@@ -554,12 +575,14 @@ def _simulate_block(
         k_right = binomial(_COL_EVE_SPLIT, n, 0.5)
         k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5)
         case, error = _strategy_a_codes(n, k_right, k_w0)
-        resend = decide(_COL_EVE_USE, p.blind_prob, np.take(p.resend_prob, case))
-        intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction)
-        resend &= intercepted
+        intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction, n.size)
+        used = intercepted & (uniforms(_COL_EVE_USE, n.size) < np.take(p.resend_prob, case))
+        resend = np.zeros(m, dtype=bool)
+        resend[blind] = True  # a blind position on an occupied pulse is overwritten: void
+        resend[pos] = used
         resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.take(_RESEND_ERROR_PROB, error))
         eve_knows = np.zeros(m, dtype=bool)
-        eve_knows[pos] = resend[pos] & (k_right > 0)
+        eve_knows[pos] = used & (k_right > 0)
 
         # Resent pulses carry one fresh photon straight into the receiver;
         # pulses she left alone travel the installed fiber.
@@ -567,7 +590,7 @@ def _simulate_block(
         if p.attack_fraction < 1.0:
             passed = binomial(_COL_CHANNEL, n, tables.channel)
             merged = arrivals[pos]
-            np.copyto(merged, passed, where=~intercepted[pos])
+            np.copyto(merged, passed, where=~intercepted)
             arrivals[pos] = merged
     else:
         if m > n.size:  # pulses with a dark count alone carry no photon

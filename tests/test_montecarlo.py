@@ -33,6 +33,9 @@ from qkd_eve_lab.montecarlo import (
     _COL_DARK_0,
     _COL_DARK_1,
     _COL_EVE_AUX,
+    _COL_EVE_BLIND,
+    _COL_EVE_ERR,
+    _COL_EVE_INTERCEPT,
     _COL_EVE_SPLIT,
     _COL_EVE_USE,
     _COL_N,
@@ -46,8 +49,10 @@ from qkd_eve_lab.montecarlo import (
     Report,
     SimConfig,
     SimResult,
+    _StrategyAPolicy,
     _Streams,
     _Tables,
+    _active_ranks,
     _binomial_cdf_table,
     _binomial_from_u,
     _clicks,
@@ -112,7 +117,7 @@ class TestStreamReset:
         return np.random.Generator(bitgen).random(size)
 
     def test_every_column_and_block(self):
-        assert COLUMNS == list(range(15))
+        assert COLUMNS == list(range(16))
         streams = _Streams(self.SEED)
         for column in COLUMNS:
             for block in (0, 1, 2**20):
@@ -548,11 +553,12 @@ class TestCertainDecisions:
 
 class TestStrategyADrawSizes:
     def test_photon_splits_are_drawn_on_occupied_pulses_only(self, monkeypatch):
-        """A blind-filled block reads every pulse for the blind resend, but
-        draws the photon splits and the channel for its occupied pulses
-        alone."""
+        """A blind-filled block draws no column over the whole block: the
+        eavesdropper's photon-number columns and the channel draw for the
+        occupied pulses, and ``_COL_EVE_ERR`` for the active ones, the
+        union of the occupied, blind-resend and dark-count pulses."""
         sizes = {}
-        halves, uniforms = _Streams.halves, _Streams.uniforms
+        halves, uniforms, bits = _Streams.halves, _Streams.uniforms, _Streams.bits
 
         def recording_halves(self, column, block, n):
             sizes[column] = n.size
@@ -562,24 +568,84 @@ class TestStrategyADrawSizes:
             sizes[column] = size
             return uniforms(self, column, block, size)
 
+        def recording_bits(self, column, block, size):
+            sizes[column] = size
+            return bits(self, column, block, size)
+
         monkeypatch.setattr(_Streams, "halves", recording_halves)
         monkeypatch.setattr(_Streams, "uniforms", recording_uniforms)
-        cfg = SimConfig(system=make_system(mu=0.2, length=1.0), eve_model=EveModel.STRATEGY_A,
-                        distance_km=1.0, attack_fraction=0.6, n_pulses=BLOCK, seed=6)
-        assert montecarlo._strategy_a_policy(cfg).blind_prob > 0
+        monkeypatch.setattr(_Streams, "bits", recording_bits)
+        cfg = SimConfig(system=make_system(mu=0.2, length=1.0, p_dark=1e-3),
+                        eve_model=EveModel.STRATEGY_A, distance_km=1.0, attack_fraction=0.6,
+                        n_pulses=BLOCK, seed=6)
+        policy = montecarlo._strategy_a_policy(cfg)
+        assert policy.blind_prob > 0
         assert simulate(cfg).sifted > 0
-        occupied = _occupied_pulses(_Streams(6), 0, BLOCK, _Tables.build(cfg))[0].size
-        assert 0 < occupied < BLOCK // 4
-        assert sizes[_COL_EVE_USE] == BLOCK
-        assert sizes[_COL_EVE_SPLIT] == sizes[_COL_EVE_AUX] == sizes[_COL_CHANNEL] == occupied
+        streams = _Streams(6)
+        occupied = _occupied_pulses(streams, 0, BLOCK, _Tables.build(cfg))[0]
+        blind = _bernoulli_positions(streams, _COL_EVE_BLIND, 0, BLOCK,
+                                     policy.blind_prob * policy.attack_fraction)
+        darks = [_bernoulli_positions(streams, column, 0, BLOCK, 1e-3)
+                 for column in (_COL_DARK_0, _COL_DARK_1)]
+        assert 0 < occupied.size < BLOCK // 4
+        assert blind.size > 0 and all(dark.size > 0 for dark in darks)
+        assert max(sizes.values()) < BLOCK
+        for column in (_COL_EVE_USE, _COL_EVE_INTERCEPT, _COL_EVE_SPLIT, _COL_EVE_AUX,
+                       _COL_CHANNEL):
+            assert sizes[column] == occupied.size
+        assert sizes[_COL_EVE_ERR] == np.unique(np.concatenate([occupied, blind, *darks])).size
+
+    def test_a_blind_position_on_an_occupied_pulse_is_void(self):
+        """Blind resends fill vacuum pulses only.  With a blind position at
+        every pulse and no resend of an occupied one, over a lossless link
+        with a perfect detector and no dark counts, every vacuum pulse and
+        no occupied one clicks, and Eve learns nothing."""
+        cfg = SimConfig(system=make_system(mu=0.2, length=0.0, eta=1.0),
+                        eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=BLOCK,
+                        seed=12)
+        policy = _StrategyAPolicy((0.0, 0.0, 0.0, 0.0), blind_prob=1.0, attack_fraction=1.0)
+        tables = _Tables.build(cfg)
+        occupied = _occupied_pulses(_Streams(12), 0, BLOCK, tables)[0].size
+        assert occupied > 0
+        sim = montecarlo._simulate_block(cfg, policy, tables, _Streams(12), 0)
+        assert sim.singles == BLOCK - occupied
+        assert sim.eve_known == 0
+
+
+def _active_ranks_reference(length, *sets):
+    """The union sorted with repeats dropped, and each set searched in it."""
+    active = np.unique(np.concatenate(sets))
+    return active.size, [np.searchsorted(active, at) for at in sets]
+
+
+class TestActiveRanks:
+    """The one mask merge of the active pulses ranks every set as sorting
+    their union and searching each set in it does."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(length=st.sampled_from([1, 2, 12_345, BLOCK]) | st.integers(1, BLOCK),
+           densities=st.lists(st.sampled_from([0.0, 1e-3, 0.02, 0.2, 1.0]),
+                               min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_sort_reference(self, length, densities, seed):
+        rng = np.random.default_rng(seed)
+        sets = [np.flatnonzero(rng.random(length) < p) for p in densities]
+        m, ranks = _active_ranks(length, *sets)
+        m_ref, ranks_ref = _active_ranks_reference(length, *sets)
+        assert m == m_ref
+        for at, rank, rank_ref in zip(sets, ranks, ranks_ref):
+            assert rank.shape == at.shape
+            assert np.array_equal(rank, rank_ref)
 
 
 class TestBlockMemory:
     def test_dense_strategy_a_peak_allocation(self):
-        """A blind-filled block computes strategy A on its occupied pulses
-        only and keeps counts narrow, so a 4-block run peaks below 3 MB
-        under tracemalloc; int64 and float64 temporaries over whole blocks
-        would take about 5.7 MB."""
+        """A blind-filled block computes strategy A on its active pulses
+        only, about a fifth of the block here, and keeps counts and ranks
+        narrow (int8 and int32), so a 4-block run peaks at about 1.1 MiB
+        under tracemalloc, below the 3 MiB bound; it peaked at 1.4 MiB when
+        such a block drew over every pulse, and int64 and float64
+        temporaries over whole blocks would take about 5.7 MB."""
         cfg = SimConfig(system=make_system(mu=0.2, length=0.0, eta=1.0, qber_opt=0.005),
                         eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=4 * BLOCK,
                         seed=3)
@@ -725,6 +791,32 @@ class TestCleanChannel:
         assert sim.errors >= _lower_tail_bound(sim.sifted, qber, 1e-3)
 
 
+def _strategy_a_classes(mu, t_ab):
+    """The classes of pulse that the simulated strategy A tells apart, at
+    attack_fraction = 1: (probability, resend probability, error
+    probability before the optical flip, whether Eve learns the bit), with
+    the exact Poisson photon numbers up to ``PHOTON_CAP`` and the resend
+    probabilities of ``allocate``."""
+    mix = allocate(mu, t_ab)
+    resend = {x: mix.usage[x] / mix.supply[x] for x in CASE_LABELS}
+    p0 = math.exp(-mu)
+    classes = [
+        (p0, min(1.0, mix.blind / p0), 0.5, False),  # blind state
+        (mu * p0 / 2, resend["A"], 0.0, True),  # one photon, Eve's basis right
+        (mu * p0 / 2, resend["A"], 0.5, False),  # one photon, Eve's basis wrong
+    ]
+    for n in range(2, PHOTON_CAP + 1):
+        pn = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+        h = 0.5**n  # all n photons in one given basis
+        classes += [
+            (pn * (1 - 2 * h), resend["B"], INTERMEDIATE_STATE_QBER, True),  # both bases
+            (pn * h, resend["C"], 0.0, True),  # all in the right basis
+            (pn * h * 2 * h, resend["C"], 0.5, False),  # all wrong, one detector
+            (pn * h * (1 - 2 * h), resend["D"], 0.5, False),  # all wrong, both detectors
+        ]
+    return classes
+
+
 class TestStrategyA:
     def test_pure_b_regime(self):
         system = make_system(length=80.0)
@@ -735,7 +827,25 @@ class TestStrategyA:
         assert abs(_z(sim.singles, sim.n_pulses, 0.1 * system.t_ab(80.0) * 0.1)) <= 3
 
     def test_mixed_regime_error_rate_between_cases(self):
+        """At 20 km the fill mixes classes A to D with no blind state.  By
+        the exact classes, Eve resends a share 0.0316 of the pulses, so
+        about 3,158 are sifted; the expected QBER is 0.2376 and she knows a
+        share 0.5468 of the sifted bits.  Given the sifted count, the errors
+        and the known bits are binomial.  At 3,158 sifted bits the QBER
+        bounds falsely alarm at a rate of 2.8e-132 (at or below Q_B / 2)
+        and 2.6e-223 (at or above 1/2), the known-bit bounds at
+        0.4532^3158 and 0.5468^3158, both below 1e-800: every rate is far
+        below 1e-3.
+        """
         system = make_system(length=20.0)
+        classes = _strategy_a_classes(0.1, system.t_ab(20.0))
+        p_resend = sum(p * r for p, r, _, _ in classes)
+        assert p_resend == pytest.approx(0.0316, abs=5e-5)
+        assert N_FAST * p_resend * 0.1 / 2 == pytest.approx(3158, abs=0.5)
+        assert sum(p * r * e for p, r, e, _ in classes) / p_resend == pytest.approx(
+            0.2376, abs=5e-5)
+        assert sum(p * r for p, r, _, knows in classes if knows) / p_resend == pytest.approx(
+            0.5468, abs=5e-5)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                  distance_km=20.0, n_pulses=N_FAST, seed=106))
         q, _ = sim.qber_hat
@@ -757,41 +867,40 @@ class TestStrategyA:
         assert abs(q_half - q_full / 2) <= max(4 * dq_half, 0.02)
 
     def test_deficit_policy_guard(self):
+        """At 0 km Eve runs in deficit and resends a share mu = 0.1 of the
+        pulses, blind states included; with eta_b = 0.1 a pulse is sifted
+        with probability 0.005, so the test falsely alarms at a rate of
+        (1 - 0.005)^200000, about 1e-435."""
         system = make_system(length=0.0)
+        p_resend = sum(p * r for p, r, _, _ in _strategy_a_classes(0.1, 1.0))
+        assert p_resend == pytest.approx(0.1, rel=1e-9)
         cfg = SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                         distance_km=0.0, n_pulses=200_000, seed=108)
         sim = simulate(cfg)
         assert sim.sifted > 0
 
     def test_blind_fill_matches_closed_form(self):
-        # At 0 km with mu = 0.2 the allocation runs in full deficit: Eve
-        # resends every class she can and fills vacuum pulses with blind
-        # states, so vacuum pulses click too.  With t_ab = eta_b = 1 and no
-        # dark counts each resent photon clicks exactly one detector, so
-        # P(click) = P(resend).  Per class: (probability, resend probability,
-        # error probability before the optical flip).
+        """At 0 km with mu = 0.2 the allocation runs in full deficit: Eve
+        resends every class she can and fills vacuum pulses with blind
+        states, so vacuum pulses click too.  With t_ab = eta_b = 1 and no
+        dark counts each resent photon clicks exactly one detector, so
+        P(click) = P(resend) = 0.2, and the QBER is 0.2710.
+
+        The singles are Binomial(10^6, 0.2), and given the sifted count,
+        about 10^5, the errors are binomial.  By the exact binomial tails,
+        |z| <= 4 falsely alarms at a rate of 6.3e-5 on the singles and
+        6.4e-5 on the errors at 10^5 sifted bits (6.3e-5 to 6.4e-5 from
+        98,000 to 102,000), at most 1.3e-4 together; both are below 1e-3.
+        """
         mu, qber_opt = 0.2, 0.005
         mix = allocate(mu, 1.0)
         assert mix.deficit and mix.blind > 0
-        resend = {x: mix.usage[x] / mix.supply[x] for x in CASE_LABELS}
-        p0 = math.exp(-mu)
-        classes = [
-            (p0, min(1.0, mix.blind / p0), 0.5),  # blind state
-            (mu * p0 / 2, resend["A"], 0.0),  # one photon, Eve's basis right
-            (mu * p0 / 2, resend["A"], 0.5),  # one photon, Eve's basis wrong
-        ]
-        for n in range(2, PHOTON_CAP + 1):
-            pn = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-            h = 0.5**n  # all n photons in one given basis
-            classes += [
-                (pn * (1 - 2 * h), resend["B"], INTERMEDIATE_STATE_QBER),  # both bases
-                (pn * h, resend["C"], 0.0),  # all in the right basis
-                (pn * h * 2 * h, resend["C"], 0.5),  # all wrong, one detector
-                (pn * h * (1 - 2 * h), resend["D"], 0.5),  # all wrong, both detectors
-            ]
-        p_click = sum(p * r for p, r, _ in classes)
-        e = sum(p * r * err for p, r, err in classes) / p_click
+        classes = _strategy_a_classes(mu, 1.0)
+        p_click = sum(p * r for p, r, _, _ in classes)
+        e = sum(p * r * err for p, r, err, _ in classes) / p_click
         qber = e * (1 - qber_opt) + (1 - e) * qber_opt
+        assert p_click == pytest.approx(0.2, rel=1e-9)
+        assert qber == pytest.approx(0.2710, abs=5e-5)
 
         system = make_system(mu=mu, length=0.0, eta=1.0, qber_opt=qber_opt)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
