@@ -52,8 +52,8 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   ``_COL_EVE_USE`` under strategy B at gamma in {0, 1}, ``_COL_EVE_SPLIT``
   under strategy B at lambda in {0, 1}, ``_COL_EVE_INTERCEPT`` at
   ``attack_fraction`` in {0, 1}, and ``_COL_EVE_BLIND`` unless strategy A
-  blind-fills at ``attack_fraction`` > 0.  Every other column keeps its draws, so
-  the tallies are the same either way.  Likewise a block without dark
+  blind-fills at ``attack_fraction`` > 0.  Every other column keeps its
+  draws, so the tallies are the same either way.  Likewise a block without dark
   counts builds no dark-count masks, and a run without an eavesdropper no
   record of what she knows or alters.
 * No selection over per-pulse arrays branches on random data.  The
