@@ -58,9 +58,10 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   record of what she knows or alters.
 * No selection over per-pulse arrays branches on random data.  The
   detector clicks are bitwise expressions, and strategy A's per-case
-  resend and error probabilities are ``np.take`` lookups by int8 case
-  codes.  Each gives the same bits as the selection it replaces, so the
-  tallies do not depend on the form.
+  resend and error probabilities are lookups by int8 case codes into
+  arrays, indexed by intp copies of the codes (``_lookup``).  Each gives
+  the same bits as the selection it replaces, so the tallies do not
+  depend on the form.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
   of whole blocks; only the last block of a run may be partial.
 * Streams are repositioned, not rebuilt.  A chunk holds one Philox
@@ -115,11 +116,17 @@ _COL_EVE_BLIND = 15
 _LOW_BITS = (np.uint64(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint64)) - np.uint64(1)
 
 
+def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``np.take(table, codes)`` for narrow integer codes, by indexing with
+    an intp copy of them, numpy's own index type."""
+    return table[codes.astype(np.intp)]
+
+
 def _halves_from_words(n: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Binomial(n, 1/2) per draw, one uint64 word each: the count of set
     bits among the word's low n, so bits above n are ignored.  ``words`` is
     overwritten; the draws have the dtype of ``n``."""
-    words &= _LOW_BITS.take(n)
+    words &= _lookup(_LOW_BITS, n)
     return np.bitwise_count(words).astype(n.dtype)
 
 
@@ -224,13 +231,14 @@ def _binomial_from_u(
     u, and each pass gathers only the draws still counting.  Row 0 is 1.0,
     above every u.  The draws have the dtype of ``n``.
     """
-    hit = cdf_table[:, 0].take(n) <= u
+    rows = n.astype(np.intp)  # indexes as ``_lookup`` does, converted once
+    hit = cdf_table[:, 0][rows] <= u
     k = hit.astype(n.dtype)
     at = np.flatnonzero(hit & (n > 1))
     j = 1
     while at.size:
-        n_at = n[at]
-        hit = cdf_table[:, j].take(n_at) <= u[at]
+        n_at = rows[at]
+        hit = cdf_table[:, j][n_at] <= u[at]
         k[at] += hit
         j += 1
         at = at[hit & (n_at > j)]
@@ -388,7 +396,7 @@ class SimResult:
 class _StrategyAPolicy:
     """Per-case resend probabilities realized by the simulated eavesdropper."""
 
-    resend_prob: tuple[float, float, float, float]  # A, B, C, D
+    resend_prob: np.ndarray  # A, B, C, D
     blind_prob: float
     attack_fraction: float
 
@@ -396,7 +404,7 @@ class _StrategyAPolicy:
 # Probability that a strategy-A resend carries the wrong bit, by error code:
 # no photon in her right basis (a random bit), photons in her right basis
 # only, photons in both bases (the intermediate state).
-_RESEND_ERROR_PROB = (0.5, 0.0, strategy_a.INTERMEDIATE_STATE_QBER)
+_RESEND_ERROR_PROB = np.array([0.5, 0.0, strategy_a.INTERMEDIATE_STATE_QBER])
 
 
 def _strategy_a_codes(n: np.ndarray, k_right: np.ndarray,
@@ -427,7 +435,7 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
         supply = mix.supply[label]
         probs.append(mix.usage[label] / supply if supply > 0 else 0.0)
     blind_prob = min(1.0, mix.blind / math.exp(-mu))  # 0 unless in deficit
-    return _StrategyAPolicy(tuple(probs), blind_prob, cfg.attack_fraction)
+    return _StrategyAPolicy(np.array(probs), blind_prob, cfg.attack_fraction)
 
 
 @dataclass(frozen=True)
@@ -576,11 +584,11 @@ def _simulate_block(
         k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5)
         case, error = _strategy_a_codes(n, k_right, k_w0)
         intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction, n.size)
-        used = intercepted & (uniforms(_COL_EVE_USE, n.size) < np.take(p.resend_prob, case))
+        used = intercepted & (uniforms(_COL_EVE_USE, n.size) < _lookup(p.resend_prob, case))
         resend = np.zeros(m, dtype=bool)
         resend[blind] = True  # a blind position on an occupied pulse is overwritten: void
         resend[pos] = used
-        resend_error = resend & decide(_COL_EVE_ERR, 0.5, np.take(_RESEND_ERROR_PROB, error))
+        resend_error = resend & decide(_COL_EVE_ERR, 0.5, _lookup(_RESEND_ERROR_PROB, error))
         eve_knows = np.zeros(m, dtype=bool)
         eve_knows[pos] = used & (k_right > 0)
 

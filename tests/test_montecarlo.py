@@ -57,6 +57,7 @@ from qkd_eve_lab.montecarlo import (
     _binomial_from_u,
     _clicks,
     _halves_from_words,
+    _lookup,
     _photons_from_u,
     _strategy_a_codes,
     binomial_p_value,
@@ -347,11 +348,19 @@ class TestBranchFreeSelections:
         case, error = _strategy_a_codes(n, k_right, k_w0)
         assert case.dtype == error.dtype == np.int8
         old_resend, old_error = _reference_strategy_a_probs(n, k_right, k_w0, resend_prob)
-        assert np.array_equal(np.take(resend_prob, case), old_resend)
-        assert np.array_equal(np.take(_RESEND_ERROR_PROB, error), old_error)
+        assert np.array_equal(_lookup(np.array(resend_prob), case), old_resend)
+        assert np.array_equal(_lookup(_RESEND_ERROR_PROB, error), old_error)
         # Every case occurs, and D also at n >= 3, where the goldens rarely draw it.
         assert set(case.tolist()) == {0, 1, 2, 3}
         assert 3 in case[n >= 3]
+
+    @pytest.mark.parametrize("table", [_LOW_BITS, np.linspace(0.0, 1.0, PHOTON_CAP + 1)])
+    def test_intp_lookups_equal_take_by_int8_codes(self, table):
+        codes = np.random.default_rng(5).integers(0, table.size, 1000).astype(np.int8)
+        for part in (codes, codes[:0], codes[::3]):
+            got = _lookup(table, part)
+            assert got.dtype == table.dtype
+            assert got.tobytes() == np.take(table, part).tobytes()
 
 
 class TestPhotonStatistics:
@@ -603,7 +612,7 @@ class TestStrategyADrawSizes:
         cfg = SimConfig(system=make_system(mu=0.2, length=0.0, eta=1.0),
                         eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=BLOCK,
                         seed=12)
-        policy = _StrategyAPolicy((0.0, 0.0, 0.0, 0.0), blind_prob=1.0, attack_fraction=1.0)
+        policy = _StrategyAPolicy(np.zeros(4), blind_prob=1.0, attack_fraction=1.0)
         tables = _Tables.build(cfg)
         occupied = _occupied_pulses(_Streams(12), 0, BLOCK, tables)[0].size
         assert occupied > 0
