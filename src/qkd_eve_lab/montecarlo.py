@@ -31,19 +31,24 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   ``_COL_EVE_AUX`` and ``_COL_CHANNEL``, draw for the occupied pulses
   alone, in pulse order; ``_COL_EVE_ERR`` draws for every active pulse,
   with p = 1/2 (a random bit) on vacuum pulses.
-* The receiver columns (``_COL_BOB_*``, ``_COL_ALICE_BIT``,
-  ``_COL_QBER_FLIP``) draw one value per pulse, in pulse order, only
-  where a photon reaches Bob's detectors or a detector fires a dark count.
+* The receiver columns ``_COL_BOB_*`` and ``_COL_ALICE_BIT`` draw one
+  value per pulse, in pulse order, only where a photon reaches Bob's
+  detectors or a detector fires a dark count.  The optical-misalignment
+  flips of those r pulses, a Bernoulli(qber_opt) process, are placed by
+  geometric gaps from ``_COL_QBER_FLIP`` like the dark counts, so the
+  column draws about qber_opt * r gaps, not r uniforms.
 * A fair coin reads raw Philox bits, not a uniform.  A u < 1/2 decision
   (``_COL_ALICE_BIT``, ``_COL_BOB_BASIS``, strategy B's ``_COL_EVE_AUX``)
   takes bit ``i % 64`` of raw word ``i // 64`` for pulse i.  A
   Binomial(n, 1/2) draw (``_COL_BOB_SPLIT``, strategy A's
   ``_COL_EVE_SPLIT`` and ``_COL_EVE_AUX``) counts the set bits among the
-  low n of one raw word each, which n <= ``PHOTON_CAP`` < 64 allows (Knuth,
-  TAOCP Vol. 2, 3.4.1).  Any other decision whose probability is exactly
-  1/2 (an eta_b, lambda or gamma of 1/2) draws the same way.  Every other
-  probability reads one uniform per draw; ``_COL_EVE_ERR`` mixes
-  probabilities per pulse, so it reads uniforms too.
+  low n of one 32-bit half-word each, half-word ``i % 2`` of raw word
+  ``i // 2`` for draw i, the low half first, which n <= ``PHOTON_CAP`` < 32
+  allows (Knuth, TAOCP Vol. 2, 3.4.1).  Any other decision whose
+  probability is exactly 1/2 (an eta_b, lambda or gamma of 1/2) draws the
+  same way.  Every other decision drawn per pulse reads one uniform per
+  draw; ``_COL_EVE_ERR`` mixes probabilities per pulse, so it reads
+  uniforms too.
 * A decision whose outcome is certain draws nothing: Binomial(n, 1) is
   n, Binomial(n, 0) is 0, u < 1 always holds and u < 0 never does.  So
   ``_COL_QBER_FLIP`` is not drawn at ``qber_opt`` = 0, ``_COL_DARK_0`` and
@@ -87,7 +92,7 @@ from .keyrate import EveModel
 from .strategy_b import BeamsplitAttack
 
 PHOTON_CAP = 20
-assert PHOTON_CAP < 64  # a Binomial(n, 1/2) draw is the low n bits of one word
+assert PHOTON_CAP < 32  # a Binomial(n, 1/2) draw is the low n bits of one half-word
 
 # Pulses per block of the random streams.  Tallies at a given seed depend on
 # it, so it is fixed rather than configurable.
@@ -112,8 +117,8 @@ _COL_EVE_INTERCEPT = 14
 _COL_EVE_BLIND = 15
 
 
-# Masks of the low n bits of a word, n = 0..PHOTON_CAP.
-_LOW_BITS = (np.uint64(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint64)) - np.uint64(1)
+# Masks of the low n bits of a half-word, n = 0..PHOTON_CAP.
+_LOW_BITS = (np.uint32(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint32)) - np.uint32(1)
 
 
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -123,8 +128,8 @@ def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def _halves_from_words(n: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Binomial(n, 1/2) per draw, one uint64 word each: the count of set
-    bits among the word's low n, so bits above n are ignored.  ``words`` is
+    """Binomial(n, 1/2) per draw, one uint32 half-word each: the count of
+    set bits among its low n, so bits above n are ignored.  ``words`` is
     overwritten; the draws have the dtype of ``n``."""
     words &= _lookup(_LOW_BITS, n)
     return np.bitwise_count(words).astype(n.dtype)
@@ -137,8 +142,8 @@ class _Streams:
     resetting its counter, so a stream is valid only until the next reset.
     ``uniforms`` lands its draws in ``buffer``, one array reused by every
     uniform draw, so what it returns is valid only until the next one.
-    ``bits`` and ``halves`` read the generator's raw 64-bit words and
-    return fresh arrays.
+    ``bits`` and ``halves`` read the generator's raw 64-bit words, 64 coins
+    or two Binomial(n, 1/2) draws per word, and return fresh arrays.
     """
 
     def __init__(self, seed: int) -> None:
@@ -166,10 +171,12 @@ class _Streams:
         return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
 
     def halves(self, column: int, block: int, n: np.ndarray) -> np.ndarray:
-        """Binomial(n, 1/2) per entry of ``n``, one raw word of a stream each
-        (``_halves_from_words``)."""
+        """Binomial(n, 1/2) per entry of ``n``, one 32-bit half-word of a
+        stream each (``_halves_from_words``): draw ``i`` reads half-word
+        ``i % 2`` of raw word ``i // 2``, the low half first."""
         self.stream(column, block)
-        return _halves_from_words(n, self._bitgen.random_raw(n.size))
+        words = self._bitgen.random_raw(-(-n.size // 2)).astype("<u8", copy=False)
+        return _halves_from_words(n, words.view("<u4")[:n.size])
 
 
 def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int,
@@ -635,8 +642,10 @@ def _simulate_block(
     double = click0 & click1
 
     sifted = bob_right & any_click & ~double
-    # Exactly one detector clicked on sifted pulses.
-    bob_bit = click1 ^ chance(_COL_QBER_FLIP, system.qber_opt, r)
+    # Exactly one detector clicked on sifted pulses.  The optical flips are
+    # a Bernoulli(qber_opt) process over the r reaching pulses, placed.
+    bob_bit = click1  # click1 is not read again
+    bob_bit[_bernoulli_positions(streams, _COL_QBER_FLIP, block, r, system.qber_opt)] ^= True
     errors = sifted & (bob_bit != alice_bit)
 
     return SimResult(

@@ -223,7 +223,8 @@ class TestBinomialFromU:
 
 class TestFairCoins:
     """Fair coins read raw Philox words: one bit per u < 1/2 decision and a
-    popcount of the low n bits of one word per Binomial(n, 1/2) draw."""
+    popcount of the low n bits of one 32-bit half-word per Binomial(n, 1/2)
+    draw."""
 
     SEED = 2**128 - 159
 
@@ -233,8 +234,8 @@ class TestFairCoins:
 
     @pytest.mark.parametrize("n", range(PHOTON_CAP + 1))
     def test_halves_is_binomial_over_every_low_bit_pattern(self, n):
-        patterns = np.arange(2**n, dtype=np.uint64)
-        high = np.random.default_rng(n).integers(0, 2**64 - 1, size=2**n, dtype=np.uint64,
+        patterns = np.arange(2**n, dtype=np.uint32)
+        high = np.random.default_rng(n).integers(0, 2**32 - 1, size=2**n, dtype=np.uint32,
                                                  endpoint=True) & ~_LOW_BITS[n]
         n_arr = np.full(2**n, n, dtype=np.int8)
         k = _halves_from_words(n_arr, patterns | high)
@@ -243,12 +244,16 @@ class TestFairCoins:
         cdf = np.cumsum(np.bincount(k, minlength=n + 1)) / 2**n
         assert np.array_equal(cdf, _binomial_cdf_table(0.5)[n, : n + 1])
 
-    def test_halves_reads_one_word_of_the_stream_per_draw(self):
-        n = np.repeat(np.arange(PHOTON_CAP + 1, dtype=np.int8), 7)
+    @pytest.mark.parametrize("size", [0, 1, 2, 7 * (PHOTON_CAP + 1)])
+    def test_draw_i_counts_the_low_n_bits_of_half_word_i(self, size):
+        n = np.resize(np.arange(PHOTON_CAP + 1, dtype=np.int8), size)
         streams = _Streams(self.SEED)
         streams.uniforms(_COL_N, 0, 3)  # another stream first
-        words = self._raw(self.SEED, _COL_EVE_SPLIT, 5, n.size)
-        expected = [bin(int(w) & (2**int(k) - 1)).count("1") for w, k in zip(words, n)]
+        words = self._raw(self.SEED, _COL_EVE_SPLIT, 5, -(-size // 2))
+        expected = []
+        for i, k in enumerate(n.tolist()):
+            half_word = int(words[i // 2]) >> (32 * (i % 2)) & (2**32 - 1)  # low half first
+            expected.append(bin(half_word & (2**k - 1)).count("1"))
         assert streams.halves(_COL_EVE_SPLIT, 5, n).tolist() == expected
 
     @given(size=st.integers(0, 700), column=st.sampled_from(COLUMNS),
@@ -558,6 +563,83 @@ class TestCertainDecisions:
         drawn = self._drawn_columns(monkeypatch, eve_model, 20.0, 0.5, attack,
                                     p_dark=1e-3, qber_opt=0.005)
         assert drawn >= self.SKIPPABLE - ({_COL_EVE_USE} if attack is None else set())
+
+
+class TestOpticalFlips:
+    """The optical-misalignment flips are a Bernoulli(qber_opt) process over
+    the r pulses of a block that reach Bob's detectors, placed by geometric
+    gaps from ``_COL_QBER_FLIP`` (``_bernoulli_positions``), not one
+    uniform per reaching pulse."""
+
+    QBER_OPT = 0.005
+    SEED = 21
+    N_PULSES = 4 * BLOCK + 12_345  # four whole blocks and a partial one
+
+    def _run(self, monkeypatch):
+        """A lossless no-Eve run with a perfect detector and no dark counts,
+        where the reaching pulses are the occupied ones.  Returns, per block,
+        the length and probability the flips were placed over and the flip
+        count, and the uniforms each column drew."""
+        placed, drawn = [], {}
+        positions, stream = _bernoulli_positions, _Streams.stream
+
+        class CountingRng:
+            def __init__(self, rng, column):
+                self.rng, self.column = rng, column
+
+            def random(self, size=None, out=None):
+                drawn[self.column] = drawn.get(self.column, 0) + (
+                    size if out is None else out.size)
+                return self.rng.random(size, out=out)
+
+        def recording_positions(streams, column, block, length, p):
+            at = positions(streams, column, block, length, p)
+            if column == _COL_QBER_FLIP:
+                placed.append((length, p, at.size))
+            return at
+
+        monkeypatch.setattr(montecarlo, "_bernoulli_positions", recording_positions)
+        monkeypatch.setattr(_Streams, "stream", lambda self, column, block: CountingRng(
+            stream(self, column, block), column))
+        cfg = SimConfig(system=make_system(mu=0.5, length=0.0, eta=1.0, qber_opt=self.QBER_OPT),
+                        eve_model=EveModel.NONE, distance_km=0.0, n_pulses=self.N_PULSES,
+                        seed=self.SEED)
+        assert simulate(cfg).sifted > 0
+        monkeypatch.undo()
+        tables = _Tables.build(cfg)
+        occupied = [
+            _occupied_pulses(_Streams(self.SEED), block, min(BLOCK, self.N_PULSES - block * BLOCK),
+                             tables)[0].size
+            for block in range(-(-self.N_PULSES // BLOCK))]
+        assert [length for length, _, _ in placed] == occupied
+        assert all(p == self.QBER_OPT for _, p, _ in placed)
+        return placed, drawn
+
+    def test_flip_count_is_binomial_over_the_reaching_pulses(self, monkeypatch):
+        """The flips over the R reaching pulses of all five blocks, the last
+        one partial, are Binomial(R, qber_opt).  The count must lie inside
+        the equal-tailed binomial bound at level 1e-3: neither tail at the
+        count is at most 5e-4, which ``binomial_p_value`` > 1e-3 states,
+        since it doubles the far tail.  So the test falsely alarms at a rate
+        of at most 1e-3 at any R.  At this seed's R = 108,439 it accepts
+        467 to 620 flips, a false-alarm rate of 9.1e-4, and accepts flips
+        drawn at 2 qber_opt with probability 1e-53."""
+        placed, _ = self._run(monkeypatch)
+        reaching = sum(length for length, _, _ in placed)
+        flips = sum(count for _, _, count in placed)
+        assert 100_000 < reaching < 115_000
+        assert binomial_p_value(flips, reaching, self.QBER_OPT) > 1e-3
+
+    def test_flip_column_draws_geometric_gaps_only(self, monkeypatch):
+        """Per block the gaps drawn are the flips, plus at least one gap
+        past the last reaching pulse and at most a last batch of
+        ceil(r qber_opt) + 1: about qber_opt r gaps, never r uniforms."""
+        placed, drawn = self._run(monkeypatch)
+        flips = sum(count for _, _, count in placed)
+        gaps = drawn[_COL_QBER_FLIP]
+        assert flips + len(placed) <= gaps <= flips + sum(
+            math.ceil(length * p) + 1 for length, p, _ in placed)
+        assert gaps < 3 * self.QBER_OPT * sum(length for length, _, _ in placed)
 
 
 class TestStrategyADrawSizes:
