@@ -137,6 +137,22 @@ def test_run_counts_the_minor_faults_of_the_run(tmp_path):
     assert result["minor_faults"] >= 16 * 2**20 // 4096
 
 
+def test_failed_run_names_tree_workload_seed_code_and_stderr(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'stderr line {i}', file=sys.stderr)\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as failure:
+        bench_pairs.run_bench(tmp_path, ["--workload", "mc_dense", "--seed", "703",
+                                         "--seconds", "1", "--trace", "0"])
+    message = str(failure.value)
+    assert f"in {tmp_path} (workload mc_dense, seed 703) exited with code 1" in message
+    assert message.endswith("stderr line 29")
+    assert "stderr line 10\n" in message and "stderr line 9\n" not in message
+
+
 def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
     calls = []
 

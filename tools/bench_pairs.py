@@ -45,13 +45,25 @@ TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.", "
                    "core_stats.", "strategy_a.", "strategy_b.")
 
 
+STDERR_TAIL = 20  # lines of a failed run's stderr that its error quotes
+
+
 def run_bench(tree: Path, args: list[str]) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its environment line, the
-    JSON object of its last line and its minor page faults."""
+    JSON object of its last line and its minor page faults.  A run that
+    exits non-zero raises RuntimeError naming the tree, the workload, the
+    seed and the exit code, with the last lines of the run's stderr."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    if proc.returncode != 0:
+        options = dict(zip(args[::2], args[1::2]))
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(
+            f"perfbench/run.py in {tree} (workload {options.get('--workload')}, seed "
+            f"{options.get('--seed')}) exited with code {proc.returncode}; "
+            f"last lines of its stderr:\n{tail}")
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
