@@ -775,11 +775,14 @@ class Report:
         return out
 
     def csv_lines(self) -> list[str]:
-        lines = ["check,quantity,observed,trials,expected,z,passed,p_value"]
+        """One row per check; ``expected_count`` is ``expected`` times
+        ``trials``, the tally a check expects."""
+        lines = ["check,quantity,observed,trials,expected,z,passed,p_value,expected_count"]
         for c in self.checks:
             lines.append(
                 f"{c.name},{c.quantity},{c.observed},{c.trials},"
-                f"{c.expected!r},{c.z!r},{int(c.passed)},{c.p_value!r}"
+                f"{c.expected!r},{c.z!r},{int(c.passed)},{c.p_value!r},"
+                f"{c.expected * c.trials!r}"
             )
         return lines
 

@@ -107,7 +107,8 @@ class TestExitCodes:
         assert "# sim.seed = 42" in header
         assert "# sim.pulses = 100000" in header
         lines = [line for line in text if not line.startswith("#")]
-        assert lines[0] == "check,quantity,observed,trials,expected,z,passed,p_value"
+        assert lines[0] == ("check,quantity,observed,trials,expected,z,passed,p_value,"
+                            "expected_count")
         assert len(lines) == 24
         assert all(0.0 <= float(line.split(",")[7]) <= 1.0 for line in lines[1:])
 

@@ -1,8 +1,8 @@
 """Tests for the pulse-level simulation: determinism and oracle agreement.
 
-The fast tier runs a few hundred thousand to a few million pulses; the
-statistical assertions are 3-sigma, so they scale with whatever sample size
-is used.  The full 1e8 oracle run lives in the acceptance suite.
+The fast tier runs a few hundred thousand to a few million pulses; each
+statistical assertion states its false-alarm rate at its sample size, at
+most 1e-3 per test.  The full 1e8 oracle run lives in the acceptance suite.
 """
 import dataclasses
 import math
@@ -67,7 +67,12 @@ from qkd_eve_lab.montecarlo import (
 )
 from qkd_eve_lab.montecarlo import _bernoulli_positions, _occupied_pulses
 from qkd_eve_lab.strategy_a import CASE_LABELS, INTERMEDIATE_STATE_QBER, allocate
-from qkd_eve_lab.strategy_b import BeamsplitAttack, sifted_info_model, solve_gamma
+from qkd_eve_lab.strategy_b import (
+    BeamsplitAttack,
+    model_click_probs,
+    sifted_info_model,
+    solve_gamma,
+)
 from qkd_eve_lab.verify import oracle_cases, oracle_suite
 
 N_FAST = 2_000_000
@@ -244,17 +249,17 @@ class TestFairCoins:
         cdf = np.cumsum(np.bincount(k, minlength=n + 1)) / 2**n
         assert np.array_equal(cdf, _binomial_cdf_table(0.5)[n, : n + 1])
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 7 * (PHOTON_CAP + 1)])
-    def test_draw_i_counts_the_low_n_bits_of_half_word_i(self, size):
-        n = np.resize(np.arange(PHOTON_CAP + 1, dtype=np.int8), size)
+    def test_draw_i_counts_the_low_n_bits_of_half_word_i(self):
         streams = _Streams(self.SEED)
-        streams.uniforms(_COL_N, 0, 3)  # another stream first
-        words = self._raw(self.SEED, _COL_EVE_SPLIT, 5, -(-size // 2))
-        expected = []
-        for i, k in enumerate(n.tolist()):
-            half_word = int(words[i // 2]) >> (32 * (i % 2)) & (2**32 - 1)  # low half first
-            expected.append(bin(half_word & (2**k - 1)).count("1"))
-        assert streams.halves(_COL_EVE_SPLIT, 5, n).tolist() == expected
+        for size in (0, 1, 2, 7 * (PHOTON_CAP + 1)):
+            n = np.resize(np.arange(PHOTON_CAP + 1, dtype=np.int8), size)
+            streams.uniforms(_COL_N, 0, 3)  # another stream first
+            words = self._raw(self.SEED, _COL_EVE_SPLIT, 5, -(-size // 2))
+            expected = []
+            for i, k in enumerate(n.tolist()):
+                half_word = int(words[i // 2]) >> (32 * (i % 2)) & (2**32 - 1)  # low half first
+                expected.append(bin(half_word & (2**k - 1)).count("1"))
+            assert streams.halves(_COL_EVE_SPLIT, 5, n).tolist() == expected
 
     @given(size=st.integers(0, 700), column=st.sampled_from(COLUMNS),
            block=st.integers(0, 2**20))
@@ -619,16 +624,15 @@ class TestOpticalFlips:
         """The flips over the R reaching pulses of all five blocks, the last
         one partial, are Binomial(R, qber_opt).  The count must lie inside
         the equal-tailed binomial bound at level 1e-3: neither tail at the
-        count is at most 5e-4, which ``binomial_p_value`` > 1e-3 states,
-        since it doubles the far tail.  So the test falsely alarms at a rate
-        of at most 1e-3 at any R.  At this seed's R = 108,439 it accepts
+        count is at most 5e-4 (``_inside_binomial_tails``).  So the test
+        falsely alarms at a rate of at most 1e-3 at any R.  At this seed's R = 108,439 it accepts
         467 to 620 flips, a false-alarm rate of 9.1e-4, and accepts flips
         drawn at 2 qber_opt with probability 1e-53."""
         placed, _ = self._run(monkeypatch)
         reaching = sum(length for length, _, _ in placed)
         flips = sum(count for _, _, count in placed)
         assert 100_000 < reaching < 115_000
-        assert binomial_p_value(flips, reaching, self.QBER_OPT) > 1e-3
+        assert _inside_binomial_tails(flips, reaching, self.QBER_OPT, 1e-3)
 
     def test_flip_column_draws_geometric_gaps_only(self, monkeypatch):
         """Per block the gaps drawn are the flips, plus at least one gap
@@ -820,6 +824,15 @@ def _z(count, trials, p):
     return (count - trials * p) / math.sqrt(trials * p * (1 - p))
 
 
+def _inside_binomial_tails(count, trials, p, alpha):
+    """Whether ``count`` lies inside the equal-tailed Binomial(trials, p)
+    bound at level ``alpha``: neither tail at ``count`` is at most alpha / 2.
+    ``binomial_p_value`` doubles the far tail, so this is its value above
+    ``alpha``, and a Binomial(trials, p) tally falls outside with
+    probability at most ``alpha`` at any ``trials``."""
+    return binomial_p_value(count, trials, p) > alpha
+
+
 def _lower_tail_bound(trials, p, alpha):
     """The largest c with P(X < c) <= alpha for X ~ Binomial(trials, p), so
     a tally below c falsely alarms at a rate of at most alpha."""
@@ -833,29 +846,45 @@ def _lower_tail_bound(trials, p, alpha):
 
 class TestCleanChannel:
     def test_singles_and_sifting_at_60km(self):
+        """The singles and sifted tallies of 2e6 pulses are binomial, and so
+        are the errors given the sifted count, about 316.  Each must lie
+        inside its binomial tail bound at level 1e-3 / 3, which falsely
+        alarms at a rate of 2.9e-4 on the singles, 2.8e-4 on the sifted
+        bits and 3.5e-5 on the errors at 313 sifted bits: at most 6.1e-4
+        together.  The |z| <= 3 bounds these replace had rates of 2.7e-3,
+        2.7e-3 and 5.3e-3."""
         system = make_system(qber_opt=0.005)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.NONE,
                                  n_pulses=N_FAST, seed=101))
         x = 0.1 * system.t_ab(60.0) * 0.1
-        assert abs(_z(sim.singles, sim.n_pulses, -math.expm1(-x))) <= 3
-        assert abs(_z(sim.sifted, sim.n_pulses, -math.expm1(-x) / 2)) <= 3
-        assert abs(_z(sim.errors, sim.sifted, 0.005)) <= 3
+        alpha = 1e-3 / 3
+        assert _inside_binomial_tails(sim.singles, sim.n_pulses, -math.expm1(-x), alpha)
+        assert _inside_binomial_tails(sim.sifted, sim.n_pulses, -math.expm1(-x) / 2, alpha)
+        assert _inside_binomial_tails(sim.errors, sim.sifted, 0.005, alpha)
 
     def test_zero_length_perfect_detectors(self):
+        """The sifted tally of 4e5 pulses must lie inside its binomial tail
+        bound at level 1e-3, a false-alarm rate of 9.9e-4 at this size
+        (2.7e-3 for the |z| <= 3 bound it replaces).  Without an optical
+        error or dark counts nothing can flip a bit."""
         system = make_system(length=0.0, eta=1.0)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.NONE,
                                  distance_km=0.0, n_pulses=400_000, seed=102))
         p = -math.expm1(-0.1)
-        assert abs(_z(sim.sifted, sim.n_pulses, p / 2)) <= 3
+        assert _inside_binomial_tails(sim.sifted, sim.n_pulses, p / 2, 1e-3)
         assert sim.errors == 0
 
     def test_coincidences_at_short_distance(self):
+        """About 7.9 wrong-basis coincidences are expected in 2e6 pulses.
+        The tally must lie inside its binomial tail bound at level 1e-3,
+        1 to 19 counts here, a false-alarm rate of 5.9e-4 (3.2e-3 for the
+        |z| <= 3 bound it replaces, which failed from 17 counts on)."""
         system = make_system(length=10.0)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.NONE,
                                  distance_km=10.0, n_pulses=N_FAST, seed=103))
         x = 0.1 * system.t_ab(10.0) * 0.1
         p_c = 0.5 * math.expm1(-x / 2) ** 2
-        assert abs(_z(sim.coincidences, sim.n_pulses, p_c)) <= 3
+        assert _inside_binomial_tails(sim.coincidences, sim.n_pulses, p_c, 1e-3)
         # right-basis pulses cannot coincide without dark counts
         assert sim.coincidences_all == sim.coincidences
 
@@ -910,12 +939,22 @@ def _strategy_a_classes(mu, t_ab):
 
 class TestStrategyA:
     def test_pure_b_regime(self):
+        """Given the sifted count, about 400, the errors are binomial at the
+        intermediate-state QBER, and the singles of 8e6 pulses are binomial
+        at mu t_ab eta_b.  Each must lie inside its binomial tail bound at
+        level 5e-4: false-alarm rates of 4.1e-4 on the errors at 388 sifted
+        bits and 4.6e-4 on the singles, at most 8.7e-4 together; the |z| <=
+        3 bounds these replace had rates of 2.7e-3 and 2.8e-3.  The
+        simulated resend rate is 0.02% below mu t_ab, since the policy
+        divides each class's usage by its second-order supply, which moves
+        the singles' rate by less than 1e-5."""
         system = make_system(length=80.0)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                  distance_km=80.0, n_pulses=8_000_000, seed=105))
         assert sim.eve_known == sim.sifted  # class B knows every resent bit
-        assert abs(_z(sim.errors, sim.sifted, INTERMEDIATE_STATE_QBER)) <= 3
-        assert abs(_z(sim.singles, sim.n_pulses, 0.1 * system.t_ab(80.0) * 0.1)) <= 3
+        assert _inside_binomial_tails(sim.errors, sim.sifted, INTERMEDIATE_STATE_QBER, 5e-4)
+        assert _inside_binomial_tails(sim.singles, sim.n_pulses,
+                                      0.1 * system.t_ab(80.0) * 0.1, 5e-4)
 
     def test_mixed_regime_error_rate_between_cases(self):
         """At 20 km the fill mixes classes A to D with no blind state.  By
@@ -945,17 +984,36 @@ class TestStrategyA:
         assert 0 < sim.eve_known < sim.sifted
 
     def test_attack_fraction_scales_errors(self):
+        """Untouched pulses dilute the created errors by the pass-through
+        share.  At attack_fraction = 1/2 half the pulses are intercepted and
+        resent at the rate of the full attack, and the other half reach Bob
+        through the fiber without error, so the QBER is Q_B a / (a + b),
+        with a and b the two halves' click rates: Q_B / 2 to within 1e-4
+        (relative).
+
+        Given the sifted counts, about 210 on each run, the errors are
+        binomial at Q_B and at that diluted QBER.  Each must lie inside its
+        binomial tail bound at level 5e-4: false-alarm rates of 3.3e-4 at
+        216 sifted bits and 2.6e-4 at 210, at most 5.9e-4 together.  The
+        bounds these replace, q_half < q_full and |q_half - q_full / 2| <=
+        max(4 sigma, 0.02), had rates of 6.7e-3 and 6.0e-3 at those counts.
+        A half run that ignored attack_fraction, at QBER Q_B, would pass
+        the new bound with probability 0.49 at this size, and q_half <
+        q_full about as often.
+        """
         system = make_system(length=80.0)
+        p_resend = sum(p * r for p, r, _, _ in _strategy_a_classes(0.1, system.t_ab(80.0)))
+        resent = 0.5 * p_resend * 0.1
+        untouched = 0.5 * -math.expm1(-0.1 * system.t_ab(80.0) * 0.1)
+        q_half_model = INTERMEDIATE_STATE_QBER * resent / (resent + untouched)
+        assert q_half_model == pytest.approx(INTERMEDIATE_STATE_QBER / 2, rel=1e-4)
         full = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                   distance_km=80.0, n_pulses=4_000_000, seed=107))
         half = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                   distance_km=80.0, attack_fraction=0.5,
                                   n_pulses=4_000_000, seed=107))
-        q_full, _ = full.qber_hat
-        q_half, dq_half = half.qber_hat
-        # untouched pulses dilute the created errors by the pass-through share
-        assert q_half < q_full
-        assert abs(q_half - q_full / 2) <= max(4 * dq_half, 0.02)
+        assert _inside_binomial_tails(full.errors, full.sifted, INTERMEDIATE_STATE_QBER, 5e-4)
+        assert _inside_binomial_tails(half.errors, half.sifted, q_half_model, 5e-4)
 
     def test_deficit_policy_guard(self):
         """At 0 km Eve runs in deficit and resends a share mu = 0.1 of the
@@ -1002,6 +1060,18 @@ class TestStrategyA:
 
 class TestStrategyB:
     def test_pure_beamsplitting_matches_clean_run(self):
+        """With the shutter always open and a link of twice t_ab behind a
+        half-tap, each photon reaches Bob with probability t_ab, so both
+        runs' singles are Binomial(2e6, p) with the same p.  Given their
+        total T, the attacked run's singles are then hypergeometric, which
+        Binomial(T, 1/2) matches to a relative variance of 3e-4 at T of
+        about 1,250.  With the errors and the known bits given the sifted
+        count, about 320, each must lie inside its binomial tail bound at
+        level 1e-3 / 3: false-alarm rates of 3.1e-4 on the singles (under
+        the exact hypergeometric law too) at T = 1,242, 5.3e-5 on the errors
+        and 7.9e-5 on the known bits at 330 sifted bits, at most 4.4e-4
+        together.  The bounds these replace, |difference| <= 3 sqrt(T) and
+        |z| <= 3, had rates of 2.7e-3, 6.8e-3 and 3.5e-3."""
         system = make_system(qber_opt=0.005)
         t_ab = system.t_ab(60.0)
         attack = BeamsplitAttack(lam=0.5, gamma=1.0, t_e=2 * t_ab)
@@ -1009,28 +1079,42 @@ class TestStrategyB:
                                       attack=attack, n_pulses=N_FAST, seed=109))
         without = simulate(SimConfig(system=system, eve_model=EveModel.NONE,
                                      n_pulses=N_FAST, seed=110))
-        diff = with_eve.singles - without.singles
-        sigma = math.sqrt(with_eve.singles + without.singles)
-        assert abs(diff) <= 3 * max(sigma, 1.0)
-        assert abs(_z(with_eve.errors, with_eve.sifted, 0.005)) <= 3
+        alpha = 1e-3 / 3
+        assert _inside_binomial_tails(with_eve.singles, with_eve.singles + without.singles,
+                                      0.5, alpha)
+        assert _inside_binomial_tails(with_eve.errors, with_eve.sifted, 0.005, alpha)
         expected_info = sifted_info_model(attack, 0.1)
-        assert abs(_z(with_eve.eve_known, with_eve.sifted, expected_info)) <= 3
+        assert _inside_binomial_tails(with_eve.eve_known, with_eve.sifted, expected_info, alpha)
 
     def test_blocking_shifts_photon_statistics(self):
+        """The shutter setting matches the single-photon singles term, so in
+        the exact model (``model_click_probs``) the singles stay within 1%
+        of the clean rate (0.81% above it), while the wrong-basis
+        coincidences rise 28% above it.
+
+        In 8e6 pulses the singles and the coincidences, about 12.8, must
+        each lie inside the binomial tail bound of the exact model at level
+        5e-4: false-alarm rates of 5.0e-4 and 1.9e-4, at most 6.9e-4
+        together.  The bounds these replace tested the clean rates: |z| <=
+        3.5 on the singles falsely alarmed at a rate of 1.4e-2 under the
+        exact model, and z > 0 on the coincidences at 0.18, since at this
+        size the excess is 2.8 counts.  The slow tier shows the excess at
+        1e9 pulses.
+        """
         system = make_system(length=20.0)
         t_ab = system.t_ab(20.0)
         t_e = system.eve_t_e(20.0)
         gamma = solve_gamma(0.1, t_ab, 0.2, t_e)
         attack = BeamsplitAttack(lam=0.2, gamma=gamma, t_e=t_e)
+        x = 0.1 * t_ab * 0.1
+        p_click, p_coinc = model_click_probs(attack, 0.1, 0.1)
+        assert p_click == pytest.approx(-math.expm1(-x), rel=0.01)
+        assert p_coinc > 1.25 * 0.5 * math.expm1(-x / 2) ** 2
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_B,
                                  attack=attack, distance_km=20.0,
                                  n_pulses=8_000_000, seed=111))
-        # singles stay matched...
-        x = 0.1 * t_ab * 0.1
-        assert abs(_z(sim.singles, sim.n_pulses, -math.expm1(-x))) <= 3.5
-        # ...while the coincidence rate exceeds the clean expectation
-        p_c_clean = 0.5 * math.expm1(-x / 2) ** 2
-        assert _z(sim.coincidences, sim.n_pulses, p_c_clean) > 0.0
+        assert _inside_binomial_tails(sim.singles, sim.n_pulses, p_click, 5e-4)
+        assert _inside_binomial_tails(sim.coincidences, sim.n_pulses, p_coinc, 5e-4)
 
     @pytest.mark.skipif(
         not os.environ.get("QKD_EVE_LAB_SLOW"),
@@ -1289,10 +1373,16 @@ class TestFamilyVerdict:
 
     def test_csv_appends_p_value_column(self):
         lines = _oracle_report(SEED42_1E8).csv_lines()
-        assert lines[0] == "check,quantity,observed,trials,expected,z,passed,p_value"
+        assert lines[0] == ("check,quantity,observed,trials,expected,z,passed,p_value,"
+                            "expected_count")
+        rows = {tuple(line.split(",")[:2]): line.split(",") for line in lines[1:]}
         row = lines[1].split(",")
         assert row[:4] == ["clean_60km", "p_single", "31652", "100000000"]
         assert 0.0 <= float(row[7]) <= 1.0
+        # expected x trials: about one coincidence at 60 km in 1e8 pulses
+        coinc = rows["clean_60km", "p_coinc"]
+        assert float(coinc[8]) == float(coinc[4]) * int(coinc[3])
+        assert float(coinc[8]) == pytest.approx(1.2498, abs=1e-4)
 
 
 def _one_dark_detector_qber(case):
