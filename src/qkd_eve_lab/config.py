@@ -199,9 +199,11 @@ class Settings:
                          "pulses simulated; also Eve's alarm window")
     seed: int = _key("sim.seed", _parse_int, 42, "[0, 2**128)", "simulation seed")
     batch_size: int = _key("sim.batch_size", _parse_int, 2**20, "[1, inf)",
-                           "pulses per work unit; changes no result")
+                           "pulses per batch, rounded up to whole 2^16-pulse blocks; "
+                           "changes no result")
     workers: int = _key("sim.workers", _parse_int, 1, "[1, inf)",
-                        "worker processes; change no result")
+                        "worker processes, each given one contiguous run of whole "
+                        "batches; change no result")
     d_min: float = _key("sweep.d_min", _parse_float, 0.0, "[0, inf)",
                         "first distance of a sweep, km")
     d_max: float = _key("sweep.d_max", _parse_float, 200.0, None,

@@ -68,19 +68,23 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   the same bits as the selection it replaces, so the tallies do not
   depend on the form.
 * ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
-  of whole blocks; only the last block of a run may be partial.
-* Streams are repositioned, not rebuilt.  A chunk holds one Philox
+  of whole blocks; only the last block of a run may be partial.  The chunks
+  are split into w = min(workers, chunks) contiguous runs of near-equal
+  chunk counts, and a worker receives one run: one process per run, started
+  for the call and joined before it returns, or this process when w = 1.
+* Streams are repositioned, not rebuilt.  A run holds one Philox
   generator and, for each draw, resets its counter to (0, block, column, 1),
   which gives the draws of a stream built afresh at that counter (Salmon et
   al., SC'11).  A stream is valid only until the next reset.  Every uniform
-  draw lands in one buffer of the chunk, so it is used before the next
-  draw; raw-bit draws return fresh arrays.
+  draw and the gap sums of the placed processes land in one buffer of the
+  run, so each is used before the next draw; raw-bit draws return fresh
+  arrays.
 """
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,7 +193,11 @@ def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int
     remaining count, until one passes the end of the block (Devroye 1986).
     The batches hold at most ``length + 1`` gaps in all: every batch but the
     last ends inside the block, and the last has at most one gap per pulse
-    left plus one.  They are summed in place in ``streams.buffer``.
+    left plus one.  A gap is floor(log(1 - u) / log(1 - p)) + 1, with the
+    quotient capped at ``length``: a longer gap ends the block anyway, and
+    the cap keeps a gap at tiny ``p`` inside int64.  The gaps are summed as
+    int64 in place, in an int64 view of ``streams.buffer``, which gives the
+    positions of a float sum, exact below 2^53.
     """
     if not p > 0.0:
         return np.empty(0, dtype=np.int64)
@@ -197,21 +205,25 @@ def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int
         return np.arange(length)
     rng = streams.stream(column, block)
     buffer = streams.buffer
+    sums = buffer.view(np.int64)
     log_q = math.log1p(-p)
+    cap = float(length)
     end = 0
-    last = -1.0  # index of the latest event drawn so far
+    last = -1  # index of the latest event drawn so far
     while last < length:
         size = math.ceil((length - 1 - last) * p) + 1
         x = rng.random(out=buffer[end:end + size])
         np.log1p(np.negative(x, out=x), out=x)
-        np.floor(np.divide(x, log_q, out=x), out=x)
-        x += 1.0  # the gaps
-        np.cumsum(x, out=x)
-        x += last
-        last = x[-1]
+        np.minimum(np.divide(x, log_q, out=x), cap, out=x)
+        x += 1.0
+        gaps = sums[end:end + size]
+        np.copyto(gaps, x, casting="unsafe")  # truncation floors these x >= 1
+        gaps[0] += last
+        np.cumsum(gaps, out=gaps)
+        last = int(gaps[-1])
         end += size
-    positions = buffer[:end]
-    return positions[: np.searchsorted(positions, length)].astype(np.int64)
+    positions = sums[:end]
+    return positions[: np.searchsorted(positions, length)].copy()
 
 
 @functools.lru_cache(maxsize=64)
@@ -274,9 +286,10 @@ def _photons_from_u(u: np.ndarray, photons: np.ndarray) -> np.ndarray:
 class SimConfig:
     """One simulation run: system, eavesdropper, size, and seeding.
 
-    ``batch_size`` and ``workers`` cannot change the tallies: work is handed
-    out in runs of whole ``BLOCK``-pulse blocks, ``batch_size`` rounded up to
-    a multiple of ``BLOCK``.
+    ``batch_size`` and ``workers`` cannot change the tallies: the pulses are
+    cut into chunks of ``batch_size`` rounded up to a multiple of ``BLOCK``,
+    and each of min(``workers``, chunks) worker processes receives one
+    contiguous run of whole chunks.
     """
 
     system: SystemConfig
@@ -659,8 +672,10 @@ def _simulate_block(
     )
 
 
-def _simulate_chunk(args: tuple) -> SimResult:
-    cfg, policy, start, stop = args
+def _simulate_chunk(cfg: SimConfig, policy: _StrategyAPolicy | None,
+                    start: int, stop: int) -> SimResult:
+    """Tallies of the pulses [start, stop), which starts on a block edge,
+    simulated one block at a time with one ``_Streams``."""
     tables = _Tables.build(cfg)
     streams = _Streams(cfg.seed)
     total = SimResult()
@@ -669,29 +684,69 @@ def _simulate_chunk(args: tuple) -> SimResult:
     return total
 
 
+def _worker(conn, cfg: SimConfig, policy: _StrategyAPolicy | None,
+            start: int, stop: int) -> None:
+    """A worker process: send the parent the tallies of [start, stop), or
+    the exception that simulating them raised."""
+    try:
+        result = _simulate_chunk(cfg, policy, start, stop)
+    except Exception as exc:  # re-raised by the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the pulse-level simulation described by ``cfg``.
 
     The tallies are independent of ``batch_size`` and ``workers``; both only
     set how the work is divided.  The random streams are laid out over fixed
-    blocks of ``BLOCK`` pulses (see the module docstring); each chunk of
-    ``batch_size`` pulses, rounded up to whole blocks, goes to one worker and
-    is simulated one block at a time.
+    blocks of ``BLOCK`` pulses (see the module docstring).  The chunks of
+    ``batch_size`` pulses, rounded up to whole blocks, are split into
+    w = min(workers, chunks) contiguous runs of near-equal chunk counts.
+    One run is simulated in this process; otherwise each run goes to one
+    worker process, started for this call and joined before it returns or
+    raises.  A worker's exception is re-raised here, and a worker that exits
+    without a result raises RuntimeError naming its blocks.
     """
     cfg.validate()
     policy = _strategy_a_policy(cfg) if cfg.eve_model is EveModel.STRATEGY_A else None
-    jobs = [(cfg, policy, start, stop) for start, stop in
-            _chunk_ranges(cfg.n_pulses, cfg.batch_size)]
-    total = SimResult()
-    if cfg.workers > 1 and len(jobs) > 1:
-        # The pool starts all its workers at once, so start no idle ones.
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            for part in pool.map(_simulate_chunk, jobs):
-                total = total + part
-    else:
-        for job in jobs:
-            total = total + _simulate_chunk(job)
-    return total
+    chunks = _chunk_ranges(cfg.n_pulses, cfg.batch_size)
+    w = min(cfg.workers, len(chunks))
+    runs = [(chunks[i * len(chunks) // w][0], chunks[(i + 1) * len(chunks) // w - 1][1])
+            for i in range(w)]
+    if w == 1:
+        return _simulate_chunk(cfg, policy, *runs[0])
+    # numpy loads numpy.random lazily: import it once here, so that forked
+    # workers inherit it rather than each importing it again.
+    import numpy.random  # noqa: F401
+    children = []
+    try:
+        for start, stop in runs:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_worker,
+                                            args=(sender, cfg, policy, start, stop))
+            child.start()
+            children.append((child, receiver, start, stop))
+            sender.close()  # so a worker that dies leaves its pipe at EOF
+        total = SimResult()
+        for child, receiver, start, stop in children:
+            try:
+                part = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the worker simulating blocks {start // BLOCK} to "
+                    f"{-(-stop // BLOCK) - 1} exited with code {child.exitcode} "
+                    "without a result") from None
+            if isinstance(part, Exception):
+                raise part
+            total = total + part
+        return total
+    finally:
+        for child, receiver, _, _ in children:
+            receiver.close()
+            child.join()
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,9 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
             metrics = {"montecarlo.mpulses_per_s.dense": {"value": rate, "unit": "Mpulses/s"},
                        "montecarlo.photon_fraction.mc_dense": {"value": 0.3, "unit": "fraction"},
                        "keyrate.curve_ms.none": {"value": 2.0 * seed, "unit": "ms"},
+                       "montecarlo.pool_efficiency": {"value": 0.6 + 0.1 * seed,
+                                                      "unit": "ratio"},
+                       "montecarlo.chunks": {"value": 40, "unit": "count"},
                        "verify.checks": {"value": 23, "unit": "count"}}
         return {"environment": {}, "minor_faults": 0, "correct": True, "attempted": 1,
                 "failed": 0, "metrics": metrics}
@@ -186,11 +189,14 @@ def test_traced_runs_alternate_and_take_medians(monkeypatch, tmp_path):
     assert traced["runs"] == 3 and traced["seeds"] == [0, 1, 2]
     assert set(traced["change"]) == {"montecarlo.mpulses_per_s.dense",
                                      "montecarlo.photon_fraction.mc_dense",
-                                     "keyrate.curve_ms.none"}
+                                     "keyrate.curve_ms.none",
+                                     "montecarlo.pool_efficiency"}
     rates = traced["change"]["montecarlo.mpulses_per_s.dense"]
     assert (rates["median"], rates["values"]) == (11.0, [10.0, 11.0, 12.0])
     assert traced["parent"]["montecarlo.mpulses_per_s.dense"]["median"] == 6.0
     assert traced["parent"]["keyrate.curve_ms.none"]["values"] == [0.0, 2.0, 4.0]
+    efficiency = traced["change"]["montecarlo.pool_efficiency"]
+    assert [efficiency[q] for q in ("q1", "median", "q3")] == pytest.approx([0.65, 0.7, 0.75])
 
 
 def test_negative_traced_count_is_rejected(tmp_path):

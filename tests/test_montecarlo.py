@@ -6,7 +6,9 @@ most 1e-3 per test.  The full 1e8 oracle run lives in the acceptance suite.
 """
 import dataclasses
 import math
+import multiprocessing
 import os
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -141,11 +143,25 @@ class TestStreamReset:
                 streams.uniforms(other, block, 5)
                 assert np.array_equal(streams.stream(column, block).random(40), expected)
 
-    def test_draws_reuse_one_buffer(self):
+    def test_draws_reuse_one_buffer(self, monkeypatch):
+        """Uniform draws and the gap sums of ``_bernoulli_positions`` all
+        land in ``streams.buffer``."""
         streams = _Streams(self.SEED)
         a = streams.uniforms(_COL_N, 0, 10)
         assert np.array_equal(a, self._fresh(self.SEED, _COL_N, 0, 10))
         assert np.shares_memory(a, streams.uniforms(_COL_PHOTONS, 3, BLOCK))
+        sums = []
+        cumsum = np.cumsum
+
+        def recording_cumsum(a, *args, **kwargs):
+            sums.append(a)
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", recording_cumsum)
+        at = _bernoulli_positions(streams, _COL_N, 0, BLOCK, 0.3)
+        assert at.size > 0 and sums
+        assert all(s.dtype == np.int64 and np.shares_memory(s, streams.buffer) for s in sums)
+        assert not np.shares_memory(at, streams.buffer)
 
 
 def _binomial_reference(n, u, cdf_table):
@@ -438,18 +454,23 @@ class TestDarkPositions:
         se = var * math.sqrt(2.0 / (blocks - 1) + excess_kurtosis / blocks)
         assert abs(counts.var(ddof=1) - var) <= 5.0 * se
 
-    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.3])
+    @pytest.mark.parametrize("p", [1e-300, 1e-6, 1e-3, 0.3, 0.9])
     def test_batched_gaps_equal_one_long_draw(self, p):
+        """The capped int64 gap sums place what an uncapped float sum of
+        one long draw places; at p = 1e-300 an uncapped gap exceeds 2^63."""
         log_q = math.log1p(-p)
         most = 0
         for block in range(200):
             at = _dark_positions(78, _COL_DARK_1, block, BLOCK, p)
+            assert at.dtype == np.int64
             u = _Streams(78).stream(_COL_DARK_1, block).random(
                 int(BLOCK * p + 10 * math.sqrt(BLOCK * p)) + 10)
             ref = np.cumsum(np.floor(np.log1p(-u) / log_q) + 1.0) - 1.0
             assert ref[-1] >= BLOCK  # the reference reaches past the block
             assert np.array_equal(at, ref[ref < BLOCK].astype(np.int64))
             most = max(most, at.size)
+        if p == 1e-300:
+            assert ref[0] > 2.0**63
         if p >= 1e-3:
             # The first batch holds ceil(BLOCK p) + 1 gaps, so a block with
             # more dark counts than ceil(BLOCK p) needed a second batch.
@@ -790,34 +811,82 @@ class TestDeterminism:
         assert serial == parallel
         assert serial.csv_lines() == parallel.csv_lines()
 
-    def test_pool_starts_no_idle_workers(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        kwargs = dict(system=make_system(), eve_model=EveModel.NONE, n_pulses=2 * BLOCK,
-                      seed=9, batch_size=BLOCK)
-        assert simulate(SimConfig(workers=4, **kwargs)) == simulate(SimConfig(**kwargs))
-        simulate(SimConfig(workers=2, **dict(kwargs, n_pulses=3 * BLOCK)))
-        assert sizes == [2, 2]
-
     def test_different_seeds_differ(self):
         cfg_a = SimConfig(system=make_system(), eve_model=EveModel.NONE,
                           n_pulses=300_000, seed=1)
         cfg_b = SimConfig(system=make_system(), eve_model=EveModel.NONE,
                           n_pulses=300_000, seed=2)
         assert simulate(cfg_a) != simulate(cfg_b)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="planted faults reach workers only by fork")
+class TestFanOut:
+    """``simulate`` starts one process per run of chunks, hands each its
+    result or exception back, and leaves no process running."""
+
+    KWARGS = dict(system=make_system(), eve_model=EveModel.NONE, seed=9, batch_size=BLOCK)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The (start, stop) pulse range of each worker process started."""
+        ranges = []
+
+        class Recording(multiprocessing.Process):
+            def __init__(self, target, args):
+                super().__init__(target=target, args=args)
+                self.pulses = args[-2:]
+
+            def start(self):
+                super().start()
+                ranges.append(self.pulses)
+
+        monkeypatch.setattr(multiprocessing, "Process", Recording)
+        yield ranges
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("blocks, workers, runs", [
+        (2, 4, [(0, 1), (1, 2)]),
+        (3, 2, [(0, 1), (1, 3)]),
+        (5, 2, [(0, 2), (2, 5)]),
+        (5, 3, [(0, 1), (1, 3), (3, 5)]),
+        (4, 1, []),
+        (1, 3, []),
+    ], ids=["2blocks-4workers", "3blocks-2workers", "5blocks-2workers", "5blocks-3workers",
+            "4blocks-1worker", "1block-3workers"])
+    def test_one_process_per_run_of_chunks(self, started, blocks, workers, runs):
+        kwargs = dict(self.KWARGS, n_pulses=blocks * BLOCK)
+        assert simulate(SimConfig(workers=workers, **kwargs)) == simulate(SimConfig(**kwargs))
+        assert started == [(a * BLOCK, b * BLOCK) for a, b in runs]
+
+    @staticmethod
+    def _plant(monkeypatch, fault):
+        """Run ``fault`` in place of the first run's simulation, blocks 0 to
+        7; the second run first sleeps 0.2 s, so it is still running when
+        the first fails."""
+        chunk = montecarlo._simulate_chunk
+
+        def planted(cfg, policy, start, stop):
+            if start == 0:
+                fault()
+            time.sleep(0.2)
+            return chunk(cfg, policy, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", planted)
+        return SimConfig(workers=2, n_pulses=17 * BLOCK, **TestFanOut.KWARGS)
+
+    def test_worker_exception_reaches_the_caller(self, started, monkeypatch):
+        def fault():
+            raise ZeroDivisionError("planted in a worker")
+
+        with pytest.raises(ZeroDivisionError, match="^planted in a worker$"):
+            simulate(self._plant(monkeypatch, fault))
+        assert len(started) == 2
+
+    def test_worker_without_a_result_names_its_blocks(self, started, monkeypatch):
+        with pytest.raises(RuntimeError, match=r"blocks 0 to 7 exited with code 3 without"):
+            simulate(self._plant(monkeypatch, lambda: os._exit(3)))
+        assert len(started) == 2
 
 
 def _z(count, trials, p):
@@ -991,15 +1060,15 @@ class TestStrategyA:
         with a and b the two halves' click rates: Q_B / 2 to within 1e-4
         (relative).
 
-        Given the sifted counts, about 210 on each run, the errors are
-        binomial at Q_B and at that diluted QBER.  Each must lie inside its
-        binomial tail bound at level 5e-4: false-alarm rates of 3.3e-4 at
-        216 sifted bits and 2.6e-4 at 210, at most 5.9e-4 together.  The
-        bounds these replace, q_half < q_full and |q_half - q_full / 2| <=
-        max(4 sigma, 0.02), had rates of 6.7e-3 and 6.0e-3 at those counts.
-        A half run that ignored attack_fraction, at QBER Q_B, would pass
-        the new bound with probability 0.49 at this size, and q_half <
-        q_full about as often.
+        Given the sifted counts, Binomial(1.25e7, 5.0e-5) on each run (about
+        625), the errors are binomial at Q_B and at that diluted QBER.  Each
+        must lie inside its binomial tail bound at level 5e-4.  Summed over
+        the sifted counts, the exact false-alarm rates are 4.1e-4 on the full
+        run and 3.8e-4 on the half run, at most 7.9e-4 together.  A half run
+        that ignored attack_fraction, at QBER Q_B, would pass its bound with
+        probability 7.3e-3, so the test fails it with probability 0.993; at
+        the earlier 4e6 pulses (about 200 sifted bits) it passed with
+        probability 0.52.
         """
         system = make_system(length=80.0)
         p_resend = sum(p * r for p, r, _, _ in _strategy_a_classes(0.1, system.t_ab(80.0)))
@@ -1008,10 +1077,10 @@ class TestStrategyA:
         q_half_model = INTERMEDIATE_STATE_QBER * resent / (resent + untouched)
         assert q_half_model == pytest.approx(INTERMEDIATE_STATE_QBER / 2, rel=1e-4)
         full = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
-                                  distance_km=80.0, n_pulses=4_000_000, seed=107))
+                                  distance_km=80.0, n_pulses=12_500_000, seed=107))
         half = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                   distance_km=80.0, attack_fraction=0.5,
-                                  n_pulses=4_000_000, seed=107))
+                                  n_pulses=12_500_000, seed=107))
         assert _inside_binomial_tails(full.errors, full.sifted, INTERMEDIATE_STATE_QBER, 5e-4)
         assert _inside_binomial_tails(half.errors, half.sifted, q_half_model, 5e-4)
 

@@ -26,9 +26,11 @@ which covers the pool workers it waited for.  ``--traced N`` adds N traced
 runs (``--trace 1``) per tree, alternating the same way with seed SEED+i in
 run i, and gives the median and quartiles of each Monte Carlo and analytic
 layer metric: one traced pass cannot resolve a change of 20% in one
-config's throughput.  ``src_lines`` gives each tree's line count of
-``src/qkd_eve_lab/*.py``, as ``wc -l`` counts it.  Uses the standard
-library only.
+config's throughput.  They include ``montecarlo.pool_efficiency``, the
+two-worker dense throughput over twice the one-worker throughput, which
+shows what the process start-up of a two-worker ``simulate`` costs.
+``src_lines`` gives each tree's line count of ``src/qkd_eve_lab/*.py``,
+as ``wc -l`` counts it.  Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -41,8 +43,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.", "keyrate.",
-                   "core_stats.", "strategy_a.", "strategy_b.")
+TRACED_PREFIXES = ("montecarlo.mpulses_per_s.", "montecarlo.photon_fraction.",
+                   "montecarlo.pool_efficiency", "keyrate.", "core_stats.", "strategy_a.",
+                   "strategy_b.")
 
 
 STDERR_TAIL = 20  # lines of a failed run's stderr that its error quotes
