@@ -377,8 +377,9 @@ class TestDarkCountCap:
 
 class TestGoldenOutput:
     """Data rows match the stored copies byte for byte: the shipped defaults,
-    the passive branch of ``p_coinc`` on a fractional step, and strategy A
-    at another mu and fiber attenuation."""
+    the passive branch of ``p_coinc`` on a fractional step, strategy A at
+    another mu and fiber attenuation, and the whole output of ``rates``,
+    ``verify`` and ``montecarlo``."""
 
     @pytest.mark.parametrize("command,golden", [
         ("stats", "stats_default.csv"),
@@ -399,6 +400,16 @@ class TestGoldenOutput:
         assert main(["rates", "--out", str(tmp_path / "rates.csv"),
                      "--set", "sweep.step=10"]) == 0
         assert rates_bundle(tmp_path) == (DATA / "rates_step10.txt").read_bytes()
+
+    def test_verify_csv_and_stdout_are_byte_identical(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--pulses", "1e6", "--seed", "42", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "verify_1e6_seed42.csv").read_bytes()
+        assert capsys.readouterr().out == (DATA / "verify_1e6_seed42.txt").read_text()
+
+    def test_montecarlo_stdout_is_byte_identical(self, capsys):
+        assert main(["montecarlo", "--set", "sim.pulses=1e5"]) == 0
+        assert capsys.readouterr().out == (DATA / "montecarlo_1e5.txt").read_text()
 
 
 def rates_bundle(directory: Path) -> bytes:
