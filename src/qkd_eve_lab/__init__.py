@@ -31,7 +31,7 @@ from .keyrate import (
     net_rate,
     qber_model,
 )
-from .montecarlo import Report, SimConfig, SimResult, compare, simulate
+from .montecarlo import SimConfig, SimResult, simulate
 from .strategy_a import (
     CaseMix,
     InterceptCase,
@@ -53,7 +53,7 @@ from .strategy_b import (
     photon_dist_prime,
     solve_gamma,
 )
-from .verify import oracle_suite
+from .verify import Report, compare, oracle_suite
 
 __version__ = "0.1.0"
 

@@ -2,8 +2,8 @@
 
 This is the independent cross-check for every closed-form expression in the
 package: photons are drawn per pulse, split, blocked, lost, and detected,
-and the tallies are compared against the analytic expectations with
-binomial z-scores and exact binomial p-values.
+and tallied.  :mod:`qkd_eve_lab.verify` holds the oracle cases and judges
+their tallies against the analytic expectations.
 
 Determinism contract: every random decision comes from a counter-based
 Philox stream keyed by (seed, column, block), where a block is ``BLOCK``
@@ -85,7 +85,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -334,6 +334,19 @@ class SimConfig:
                 )
 
 
+# Each tally of ``SimResult``, in field order, and the tally it is divided
+# by: its trials.
+_TRIALS = {
+    "n_pulses": "n_pulses",
+    "singles": "n_pulses",
+    "coincidences": "n_pulses",
+    "coincidences_all": "n_pulses",
+    "sifted": "n_pulses",
+    "errors": "sifted",
+    "eve_known": "sifted",
+}
+
+
 @dataclass
 class SimResult:
     """Tallies of one run, with binomial standard errors on the estimates."""
@@ -347,63 +360,32 @@ class SimResult:
     eve_known: int = 0
 
     def __add__(self, other: "SimResult") -> "SimResult":
-        return SimResult(
-            n_pulses=self.n_pulses + other.n_pulses,
-            singles=self.singles + other.singles,
-            coincidences=self.coincidences + other.coincidences,
-            coincidences_all=self.coincidences_all + other.coincidences_all,
-            sifted=self.sifted + other.sifted,
-            errors=self.errors + other.errors,
-            eve_known=self.eve_known + other.eve_known,
-        )
+        return SimResult(*[getattr(self, f.name) + getattr(other, f.name)
+                           for f in fields(self)])
 
-    @staticmethod
-    def _estimate(count: int, n: int) -> tuple[float, float]:
+    def counts(self, tally: str) -> tuple[int, int]:
+        """A tally and its trials, the count it is divided by."""
+        return getattr(self, tally), getattr(self, _TRIALS[tally])
+
+    def estimate(self, tally: str) -> tuple[float, float]:
+        """A tally's share of its trials and the binomial standard error."""
+        count, n = self.counts(tally)
         if n == 0:
             return 0.0, 0.0
         p = count / n
         return p, math.sqrt(p * (1.0 - p) / n)
 
-    @property
-    def p_single_hat(self) -> tuple[float, float]:
-        return self._estimate(self.singles, self.n_pulses)
-
-    @property
-    def p_coinc_hat(self) -> tuple[float, float]:
-        return self._estimate(self.coincidences, self.n_pulses)
-
-    @property
-    def sifted_fraction_hat(self) -> tuple[float, float]:
-        return self._estimate(self.sifted, self.n_pulses)
-
-    @property
-    def qber_hat(self) -> tuple[float, float]:
-        return self._estimate(self.errors, self.sifted)
-
-    @property
-    def eve_fraction_hat(self) -> tuple[float, float]:
-        return self._estimate(self.eve_known, self.sifted)
-
     def csv_lines(self) -> list[str]:
-        rows = [
-            ("n_pulses", self.n_pulses, 1.0, 0.0),
-            ("singles", self.singles, *self.p_single_hat),
-            ("coincidences", self.coincidences, *self.p_coinc_hat),
-            ("coincidences_all", self.coincidences_all,
-             *self._estimate(self.coincidences_all, self.n_pulses)),
-            ("sifted", self.sifted, *self.sifted_fraction_hat),
-            ("errors", self.errors, *self.qber_hat),
-            ("eve_known", self.eve_known, *self.eve_fraction_hat),
-        ]
         lines = ["quantity,count,estimate,sigma"]
-        for name, count, est, sig in rows:
-            lines.append(f"{name},{count},{est!r},{sig!r}")
+        for tally in _TRIALS:
+            est, sig = self.estimate(tally)
+            lines.append(f"{tally},{getattr(self, tally)},{est!r},{sig!r}")
         return lines
 
     def summary(self) -> str:
-        ps, dps = self.p_single_hat
-        q, dq = self.qber_hat
-        ek, dek = self.eve_fraction_hat
+        ps, dps = self.estimate("singles")
+        q, dq = self.estimate("errors")
+        ek, dek = self.estimate("eve_known")
         return (
             f"pulses {self.n_pulses}: singles {self.singles} "
             f"(p={ps:.4e}+-{dps:.1e}), coincidences {self.coincidences}, "
@@ -747,247 +729,3 @@ def simulate(cfg: SimConfig) -> SimResult:
         for child, receiver, _, _ in children:
             receiver.close()
             child.join()
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One analytic-versus-simulation comparison.
-
-    ``p_value`` is the exact two-sided binomial p-value of the tally and
-    feeds the family verdict of :class:`Report`, which decides the exit code
-    of ``verify``.  ``passed`` is the per-check |z| <= 3 rule, kept for
-    information only.
-    """
-
-    name: str
-    quantity: str
-    observed: int
-    trials: int
-    expected: float
-    z: float
-    p_value: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.z) <= 3.0
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}/{self.quantity}"
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        est = self.observed / self.trials if self.trials else 0.0
-        return (
-            f"{status} {self.label}: observed {est:.6e} "
-            f"({self.observed}/{self.trials}), expected {self.expected:.6e}, "
-            f"z={self.z:+.2f}, p={self.p_value:.2e}"
-        )
-
-
-@dataclass
-class Report:
-    """Machine-readable outcome of a batch of oracle comparisons.
-
-    The verdict is ``family_pass``: Holm's step-down procedure over the
-    checks' exact p-values at family-wise level ``FAMILY_ALPHA``, so a
-    correct model fails a run with probability at most ``FAMILY_ALPHA``
-    whatever the dependence between checks.  ``all_pass`` applies |z| <= 3
-    to each check separately; over 23 checks that rule alone would fail a
-    correct model in about 6% of runs, so it is reported, not acted on.
-    """
-
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def holm_rejected(self) -> list[CheckResult]:
-        """Checks Holm's procedure rejects at ``FAMILY_ALPHA``, in report order."""
-        rejected = holm_rejections([c.p_value for c in self.checks], FAMILY_ALPHA)
-        return [self.checks[i] for i in rejected]
-
-    @property
-    def family_pass(self) -> bool:
-        return not self.holm_rejected
-
-    def lines(self) -> list[str]:
-        out = [c.line() for c in self.checks]
-        n_fail = sum(not c.passed for c in self.checks)
-        out.append(
-            f"{'PASS' if n_fail == 0 else 'FAIL'}: "
-            f"{len(self.checks) - n_fail}/{len(self.checks)} checks within 3 sigma"
-        )
-        rejected = self.holm_rejected
-        names = ", ".join(c.label for c in rejected) if rejected else "none"
-        out.append(
-            f"{'PASS' if not rejected else 'FAIL'}: family verdict, Holm at "
-            f"alpha={FAMILY_ALPHA:g} over {len(self.checks)} exact binomial "
-            f"p-values rejects {names}"
-        )
-        return out
-
-    def csv_lines(self) -> list[str]:
-        """One row per check; ``expected_count`` is ``expected`` times
-        ``trials``, the tally a check expects."""
-        lines = ["check,quantity,observed,trials,expected,z,passed,p_value,expected_count"]
-        for c in self.checks:
-            lines.append(
-                f"{c.name},{c.quantity},{c.observed},{c.trials},"
-                f"{c.expected!r},{c.z!r},{int(c.passed)},{c.p_value!r},"
-                f"{c.expected * c.trials!r}"
-            )
-        return lines
-
-
-def _z_score(observed: int, trials: int, expected: float) -> float:
-    if trials == 0:
-        return math.inf
-    if expected <= 0.0 or expected >= 1.0:
-        return 0.0 if observed / trials == expected else math.inf
-    sigma = math.sqrt(expected * (1.0 - expected) * trials)
-    return (observed - trials * expected) / sigma
-
-
-# Family-wise false-alarm level of the oracle verdict: the two-sided 3-sigma
-# tail, which one check alone used to carry, now held by the whole family.
-FAMILY_ALPHA = 2.7e-3
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_TAIL_CHUNK = 4096
-
-
-def _stirlerr(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the remainder of Stirling's series."""
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
-    nn = float(n) * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-
-
-def _bd0(x: float, m: float) -> float:
-    """x log(x/m) + m - x without cancellation when x is close to m."""
-    if abs(x - m) >= 0.1 * (x + m):
-        return x * math.log(x / m) + m - x
-    v = (x - m) / (x + m)
-    s = (x - m) * v
-    term = 2.0 * x * v
-    j = 1
-    while True:
-        term *= v * v
-        s_next = s + term / (2 * j + 1)
-        if s_next == s:
-            return s
-        s = s_next
-        j += 1
-
-
-def _binomial_log_pmf(k: int, n: int, p: float) -> float:
-    """log P(X = k) for X ~ Binomial(n, p), 0 < p < 1, accurate to ~1e-14
-    relative at any n (Loader's saddle-point form, as used by R's dbinom)."""
-    if k == 0:
-        return n * math.log1p(-p)
-    if k == n:
-        return n * math.log(p)
-    lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
-          - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p)))
-    return lc - _LN_SQRT_2PI - 0.5 * (math.log(k) + math.log1p(-k / n))
-
-
-def _binomial_tail(k: int, n: int, p: float, upper: bool) -> float:
-    """P(X >= k) if ``upper`` else P(X <= k), for a ``k`` on the far side of
-    the mean, where the terms fall monotonically away from ``k``.
-
-    The terms are summed relative to P(X = k) through the ratio of
-    neighbouring terms, one chunk at a time, until the next is below e^-40
-    of the sum.
-    """
-    log_odds = math.log(p) - math.log1p(-p)
-    total = 1.0
-    log_term = 0.0
-    j = k
-    while True:
-        if upper:  # P(j + 1) / P(j) = (n - j) / (j + 1) * p / q
-            js = np.arange(j, min(j + _TAIL_CHUNK, n), dtype=np.float64)
-            log_ratio = np.log((n - js) / (js + 1.0)) + log_odds
-        else:  # P(j - 1) / P(j) = j / (n - j + 1) * q / p
-            js = np.arange(j, max(j - _TAIL_CHUNK, 0), -1, dtype=np.float64)
-            log_ratio = np.log(js / (n - js + 1.0)) - log_odds
-        if js.size == 0:
-            break
-        logs = log_term + np.cumsum(log_ratio)
-        total += float(np.exp(logs).sum())
-        log_term = float(logs[-1])
-        j += js.size if upper else -js.size
-        if log_term < math.log(total) - 40.0:
-            break
-    return math.exp(_binomial_log_pmf(k, n, p) + math.log(total))
-
-
-def binomial_p_value(observed: int, trials: int, expected: float) -> float:
-    """Exact two-sided binomial p-value: the smaller tail at ``observed``,
-    doubled and capped at 1.
-
-    With ``expected`` at 0 or 1 the outcome is certain, so the p-value is 1
-    if the tally matches and 0 otherwise; a tally with no trials gets 0.
-    An ``expected`` outside [0, 1], NaN included, raises ValueError.
-    """
-    if not 0.0 <= expected <= 1.0:
-        raise ValueError(f"expected must be a probability in [0, 1], got {expected!r}")
-    if trials == 0:
-        return 0.0
-    if expected in (0.0, 1.0):
-        return 1.0 if observed == trials * expected else 0.0
-    # The binomial median lies within 1 of the mean, so the tail on the far
-    # side of the mean is the smaller one whenever it is below 1/2, and the
-    # other is at least 1/2 otherwise.
-    upper = observed >= trials * expected
-    return min(1.0, 2.0 * _binomial_tail(observed, trials, expected, upper))
-
-
-def holm_rejections(p_values: list[float], alpha: float) -> list[int]:
-    """Indices that Holm's step-down procedure rejects at family-wise level
-    ``alpha`` (Holm, Scand. J. Stat. 6, 65, 1979), in ascending order.
-
-    The i-th smallest p-value (from 0) is rejected while it is at most
-    alpha / (m - i); the first that is not stops the procedure.  The
-    family-wise error rate is at most ``alpha`` under any dependence.
-    """
-    order = sorted(range(len(p_values)), key=p_values.__getitem__)
-    m = len(order)
-    rejected = []
-    for rank, i in enumerate(order):
-        if p_values[i] > alpha / (m - rank):
-            break
-        rejected.append(i)
-    return sorted(rejected)
-
-
-_QUANTITIES = {
-    "p_single": lambda r: (r.singles, r.n_pulses),
-    "p_coinc": lambda r: (r.coincidences, r.n_pulses),
-    "sifted_fraction": lambda r: (r.sifted, r.n_pulses),
-    "qber": lambda r: (r.errors, r.sifted),
-    "eve_fraction": lambda r: (r.eve_known, r.sifted),
-}
-
-
-def compare(name: str, sim: SimResult, expectations: dict[str, float]) -> Report:
-    """z-score and exact-binomial p-value of each expected quantity against
-    the simulated tallies."""
-    report = Report()
-    for quantity, expected in expectations.items():
-        try:
-            observed, trials = _QUANTITIES[quantity](sim)
-        except KeyError:
-            raise ValueError(
-                f"unknown quantity {quantity!r}; valid: {sorted(_QUANTITIES)}"
-            ) from None
-        report.checks.append(CheckResult(
-            name, quantity, observed, trials, expected,
-            _z_score(observed, trials, expected),
-            binomial_p_value(observed, trials, expected),
-        ))
-    return report

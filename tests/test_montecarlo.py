@@ -44,11 +44,9 @@ from qkd_eve_lab.montecarlo import (
     _COL_PHOTONS,
     _COL_QBER_FLIP,
     BLOCK,
-    FAMILY_ALPHA,
     PHOTON_CAP,
     _LOW_BITS,
     _RESEND_ERROR_PROB,
-    Report,
     SimConfig,
     SimResult,
     _StrategyAPolicy,
@@ -62,9 +60,6 @@ from qkd_eve_lab.montecarlo import (
     _lookup,
     _photons_from_u,
     _strategy_a_codes,
-    binomial_p_value,
-    compare,
-    holm_rejections,
     simulate,
 )
 from qkd_eve_lab.montecarlo import _bernoulli_positions, _occupied_pulses
@@ -75,7 +70,15 @@ from qkd_eve_lab.strategy_b import (
     sifted_info_model,
     solve_gamma,
 )
-from qkd_eve_lab.verify import oracle_cases, oracle_suite
+from qkd_eve_lab.verify import (
+    FAMILY_ALPHA,
+    Report,
+    binomial_p_value,
+    compare,
+    holm_rejections,
+    oracle_cases,
+    oracle_suite,
+)
 
 N_FAST = 2_000_000
 DATA = Path(__file__).parent / "data"
@@ -1047,7 +1050,7 @@ class TestStrategyA:
             0.5468, abs=5e-5)
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_A,
                                  distance_km=20.0, n_pulses=N_FAST, seed=106))
-        q, _ = sim.qber_hat
+        q, _ = sim.estimate("errors")
         # mixture of classes A through D: error rate between B's and D's
         assert INTERMEDIATE_STATE_QBER / 2 < q < 0.5
         assert 0 < sim.eve_known < sim.sifted
