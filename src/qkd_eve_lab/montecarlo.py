@@ -210,18 +210,21 @@ def _bernoulli_positions(streams: _Streams, column: int, block: int, length: int
     cap = float(length)
     end = 0
     last = -1  # index of the latest event drawn so far
-    while last < length:
-        size = math.ceil((length - 1 - last) * p) + 1
-        x = rng.random(out=buffer[end:end + size])
-        np.log1p(np.negative(x, out=x), out=x)
-        np.minimum(np.divide(x, log_q, out=x), cap, out=x)
-        x += 1.0
-        gaps = sums[end:end + size]
-        np.copyto(gaps, x, casting="unsafe")  # truncation floors these x >= 1
-        gaps[0] += last
-        np.cumsum(gaps, out=gaps)
-        last = int(gaps[-1])
-        end += size
+    # At a subnormal p the divide overflows to inf, which the cap discards;
+    # no other step here can overflow.
+    with np.errstate(over="ignore"):
+        while last < length:
+            size = math.ceil((length - 1 - last) * p) + 1
+            x = rng.random(out=buffer[end:end + size])
+            np.log1p(np.negative(x, out=x), out=x)
+            np.minimum(np.divide(x, log_q, out=x), cap, out=x)
+            x += 1.0
+            gaps = sums[end:end + size]
+            np.copyto(gaps, x, casting="unsafe")  # truncation floors these x >= 1
+            gaps[0] += last
+            np.cumsum(gaps, out=gaps)
+            last = int(gaps[-1])
+            end += size
     positions = sums[:end]
     return positions[: np.searchsorted(positions, length)].copy()
 
@@ -320,6 +323,10 @@ class SimConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.distance_km is not None and not self.distance_km >= 0:
             raise ConfigError(f"distance_km must be >= 0, got {self.distance_km}")
+        if self.system.source.mu > 1.0:
+            raise ConfigError(
+                f"source.mu: must be <= 1 to simulate, where photon numbers above "
+                f"PHOTON_CAP = {PHOTON_CAP} are negligible, got {self.system.source.mu}")
         if self.system.basis_mode is not BasisMode.ACTIVE:
             raise ConfigError("the simulation models active basis choice only")
         if self.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
@@ -454,7 +461,7 @@ class _Tables:
         system = cfg.system
         beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
         occupied = -math.expm1(-system.source.mu)
-        # The tail above the photon cap is < 1e-19 for mu <= 1.
+        # The tail above the photon cap is < 1e-19 for mu <= 1, which validate holds.
         pmf = poisson_pmf_array(system.source.mu, PHOTON_CAP)
         pmf[0] = 0.0
         return cls(

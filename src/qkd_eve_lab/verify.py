@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .core_stats import ChannelParams, DetectorParams, SourceParams
 from .keyrate import EveModel
 from .montecarlo import SimConfig, SimResult, simulate
@@ -421,7 +421,8 @@ def oracle_cases(
     """Every oracle case, in report order, without running anything: case
     i simulates ``n_pulses`` pulses at seed ``seed + i``."""
     if n_pulses < 10**4:
-        raise ValueError("the oracle suite needs at least 1e4 pulses")
+        raise ConfigError(f"sim.pulses: the oracle suite needs at least 1e4 pulses, "
+                          f"got {n_pulses}")
     cases = _clean_channel_cases() + _strategy_a_cases() + _strategy_b_cases()
     return [
         replace(case, sim=replace(case.sim, n_pulses=n_pulses, seed=seed + i,

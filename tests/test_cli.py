@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -373,6 +374,31 @@ class TestDarkCountCap:
                    "--set", "sim.pulses=1e4"])
         assert rc == 1
         assert "p_dark" in capsys.readouterr().err
+
+    def test_subnormal_dark_count_probability_runs_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["montecarlo", "--set", "detector.p_dark=5e-324",
+                       "--set", "sim.pulses=1e5"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestSimulationMuDomain:
+    """Photon numbers stop at ``PHOTON_CAP``, which is exact only for mu <= 1:
+    at mu = 30 the singles rate would read 0.18 against 1 - e^-0.3 = 0.26."""
+
+    def test_mu_above_one_exits_one_and_names_the_key(self, tmp_path):
+        out = tmp_path / "out.csv"
+        _rejected(["montecarlo", "--set", "source.mu=30", "--set", "channel.length_ab=0",
+                   "--set", "detector.eta_b=0.01", "--set", "detector.p_dark=0",
+                   "--set", "sim.pulses=1e6", "--out", str(out)], "source.mu")
+        assert not out.exists()
+
+
+class TestVerifyPulses:
+    def test_too_few_pulses_exits_one_and_names_the_key(self):
+        _rejected(["verify", "--pulses", "1e3"], "sim.pulses")
 
 
 class TestGoldenOutput:

@@ -1217,6 +1217,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="distance_km"):
             SimConfig(system=SystemConfig(), distance_km=distance, n_pulses=70000)
 
+    def test_mu_above_one_rejected(self):
+        SimConfig(system=make_system(mu=1.0))
+        with pytest.raises(ConfigError, match="source.mu"):
+            SimConfig(system=make_system(mu=math.nextafter(1.0, 2.0)))
+
     def test_unlimited_is_not_simulable(self):
         with pytest.raises(ConfigError):
             SimConfig(system=make_system(), eve_model=EveModel.UNLIMITED,
