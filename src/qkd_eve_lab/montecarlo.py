@@ -461,7 +461,7 @@ class _Tables:
         system = cfg.system
         beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
         occupied = -math.expm1(-system.source.mu)
-        # The tail above the photon cap is < 1e-19 for mu <= 1, which validate holds.
+        # The tail above the photon cap is < 1e-19 for mu <= 1, as validate requires.
         pmf = poisson_pmf_array(system.source.mu, PHOTON_CAP)
         pmf[0] = 0.0
         return cls(
