@@ -17,10 +17,8 @@ import numpy as np
 from . import core_stats, keyrate, strategy_a, strategy_b
 from .config import ConfigError, Settings, default_config_text, load_settings
 from .keyrate import EveModel
-from .montecarlo import SimConfig, simulate
 from .search import distance_grid
 from .strategy_b import BeamsplitAttack, solve_gamma
-from .verify import oracle_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -259,6 +257,10 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(settings: Settings, args: argparse.Namespace) -> int:
+    # Imported here, not at the top, so the analytic commands do not load the
+    # Monte Carlo and its multiprocessing fan-out; the same holds for verify.
+    from .montecarlo import SimConfig, simulate
+
     system = settings.system()
     model = settings.eve_model
     distance = settings.length_ab
@@ -284,6 +286,8 @@ def _cmd_montecarlo(settings: Settings, args: argparse.Namespace) -> int:
 
 def _cmd_verify(settings: Settings, args: argparse.Namespace) -> int:
     """Run the oracle suite; exit 2 when Holm's family verdict rejects a check."""
+    from .verify import oracle_suite
+
     report = oracle_suite(
         n_pulses=settings.n_pulses,
         seed=settings.seed,

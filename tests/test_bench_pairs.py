@@ -137,6 +137,34 @@ def test_run_counts_the_minor_faults_of_the_run(tmp_path):
     assert result["minor_faults"] >= 16 * 2**20 // 4096
 
 
+def test_run_writes_no_bytecode(monkeypatch, tmp_path):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os, sys\n"
+        "print('environment: ' + json.dumps({'flag': os.environ.get('PYTHONDONTWRITEBYTECODE'),"
+        " 'writes': not sys.dont_write_bytecode}))\n"
+        "print(json.dumps({'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    result = bench_pairs.run_bench(tmp_path, ["--seed", "0"])
+    assert result["environment"] == {"flag": "1", "writes": False}
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_tree_holding_bytecode_under_src_is_refused(monkeypatch, tmp_path, capsys, side):
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, args: pytest.fail("ran"))
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "qkd_eve_lab").mkdir(parents=True)
+    compiled = tmp_path / side / "src" / "qkd_eve_lab" / "__pycache__"
+    compiled.mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "w", "--seed", "0"])
+    assert exit_info.value.code == 2
+    assert f"the {side} tree holds compiled bytecode in {compiled}" in capsys.readouterr().err
+
+
 def test_failed_run_names_tree_workload_seed_code_and_stderr(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(

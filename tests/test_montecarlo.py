@@ -47,6 +47,7 @@ from qkd_eve_lab.montecarlo import (
     PHOTON_CAP,
     _LOW_BITS,
     _RESEND_ERROR_PROB,
+    _TRIALS,
     SimConfig,
     SimResult,
     _StrategyAPolicy,
@@ -71,6 +72,7 @@ from qkd_eve_lab.strategy_b import (
     solve_gamma,
 )
 from qkd_eve_lab.verify import (
+    _QUANTITIES,
     FAMILY_ALPHA,
     Report,
     binomial_p_value,
@@ -451,7 +453,13 @@ class TestDarkPositions:
         assert binomial_p_value(total, blocks * BLOCK, p) > 1e-4
         assert binomial_p_value(first_half, total, 0.5) > 1e-4
         # Sample variance against BLOCK p (1 - p), within 5 standard errors
-        # of a sample variance with the binomial's excess kurtosis.
+        # of a sample variance with the binomial's excess kurtosis.  Correct
+        # positions fail this with probability 2.6e-6 at p = 1e-6 and 1.5e-6
+        # at p = 1e-3, computed exactly from the joint law of the counts' sum
+        # and sum of squares, and 6.0e-6 at p = 0.3 from the chi-square law
+        # of normal counts (199 degrees of freedom; a count's skewness there
+        # is 0.003): about 1e-5 over the three cases, nearly all of it in the
+        # upper tail.
         var = BLOCK * p * (1.0 - p)
         excess_kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
         se = var * math.sqrt(2.0 / (blocks - 1) + excess_kurtosis / blocks)
@@ -1309,27 +1317,20 @@ SEED42_1E8 = {
     ("strategy_b_blocking_80km", "eve_fraction"): (1958, 5025),
 }
 
-# Which SimResult field each quantity's tally and trial count come from.
-_TALLY_FIELDS = {
-    "p_single": ("singles", "n_pulses"),
-    "p_coinc": ("coincidences", "n_pulses"),
-    "sifted_fraction": ("sifted", "n_pulses"),
-    "qber": ("errors", "sifted"),
-    "eve_fraction": ("eve_known", "sifted"),
-}
-
 
 def _oracle_report(tallies, expectations=None):
     """The seed-42 oracle report rebuilt through ``compare`` from ``tallies``,
-    with ``expectations`` (check, quantity) -> value overriding closed forms."""
+    with ``expectations`` (check, quantity) -> value overriding closed forms.
+    Each quantity's tally and trials go to the SimResult fields that
+    ``verify._QUANTITIES`` and ``SimResult.counts`` read them from; where
+    two quantities share a field (``sifted`` is qber's trials), the later
+    one in the case sets it."""
     report = Report()
     for case in oracle_cases(n_pulses=10**8, seed=42):
         counts = {"n_pulses": 10**8}
         for quantity in case.expected:
-            observed, trials = tallies[case.name, quantity]
-            tally, trial = _TALLY_FIELDS[quantity]
-            counts[tally] = observed
-            counts[trial] = trials
+            tally = _QUANTITIES[quantity]
+            counts[tally], counts[_TRIALS[tally]] = tallies[case.name, quantity]
         expected = {
             q: (expectations or {}).get((case.name, q), value)
             for q, value in case.expected.items()

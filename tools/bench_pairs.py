@@ -31,11 +31,17 @@ two-worker dense throughput over twice the one-worker throughput, which
 shows what the process start-up of a two-worker ``simulate`` costs.
 ``src_lines`` gives each tree's line count of ``src/qkd_eve_lab/*.py``,
 as ``wc -l`` counts it.  Uses the standard library only.
+
+Both trees are timed in the same bytecode state: every run has
+``PYTHONDONTWRITEBYTECODE=1``, and a tree holding a ``__pycache__``
+directory under ``src/`` is refused, because stale ``.pyc`` files there
+make its ``setup_s`` read faster than a clean tree's.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -53,11 +59,13 @@ STDERR_TAIL = 20  # lines of a failed run's stderr that its error quotes
 
 def run_bench(tree: Path, args: list[str]) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its environment line, the
-    JSON object of its last line and its minor page faults.  A run that
-    exits non-zero raises RuntimeError naming the tree, the workload, the
-    seed and the exit code, with the last lines of the run's stderr."""
+    JSON object of its last line and its minor page faults.  The run
+    writes no bytecode.  A run that exits non-zero raises RuntimeError
+    naming the tree, the workload, the seed and the exit code, with the
+    last lines of the run's stderr."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
@@ -155,6 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--traced must be >= 0")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        compiled = sorted((tree / "src").rglob("__pycache__"))
+        if compiled:
+            parser.error(f"the {side} tree holds compiled bytecode in {compiled[0]}; "
+                         "remove it, so that both trees time their set-up alike")
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
