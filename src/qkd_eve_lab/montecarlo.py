@@ -11,14 +11,19 @@ pulses and a column (a ``_COL_*`` id) is one kind of decision, so a run is
 bit-for-bit reproducible regardless of batch size or worker count.  No
 stream is per pulse: cost scales with the pulses that carry light or click.
 
-* The pulses with n >= 1 photons, a Bernoulli(1 - e^-mu) process, are
-  placed exactly by geometric gaps from the ``_COL_N`` stream; their photon
-  numbers are zero-truncated Poisson(mu), one uniform each from
-  ``_COL_PHOTONS``, inverted by a sequential search of the CDF: one pass
-  over the draws per CDF entry up to the largest uniform, each adding 1
-  where the entry is at most the draw's uniform.  Each detector's dark
-  counts, a Bernoulli(p_dark) process, are placed the same way from
-  ``_COL_DARK_0`` / ``_COL_DARK_1``.
+* A block's photons are one Poisson(mu * ``BLOCK``) count T, drawn by
+  ``Generator.poisson`` from the ``_COL_N`` stream, each on a uniform pulse
+  of the block: photon i takes half-word ``i % 4`` of raw word ``i // 4``
+  of ``_COL_PHOTONS`` as its pulse index, the low half first.  Given T, a
+  Poisson process puts each point on an independent uniform pulse, so the
+  pulses' photon numbers are i.i.d. Poisson(mu).  Sorted, the indices
+  give the occupied pulses, the first of each run of equal indices, and
+  their photon numbers, the runs' lengths.  A partial block is drawn as a
+  whole one and keeps its indices below its length.  The tallies at a
+  seed so depend on numpy's ``Generator.poisson``, as they depend on its
+  ``random``.  Each detector's dark counts, a Bernoulli(p_dark) process,
+  are placed exactly by geometric gaps from ``_COL_DARK_0`` /
+  ``_COL_DARK_1``.
 * Strategy A's blind resends, which fill vacuum pulses when Eve runs short
   of multiphoton pulses, are a Bernoulli(blind_prob * attack_fraction)
   process placed the same way from ``_COL_EVE_BLIND``; a position that
@@ -91,7 +96,7 @@ import numpy as np
 
 from . import strategy_a
 from .config import ConfigError, SystemConfig
-from .core_stats import BasisMode, poisson_pmf_array
+from .core_stats import BasisMode
 from .keyrate import EveModel
 from .strategy_b import BeamsplitAttack
 
@@ -99,7 +104,7 @@ PHOTON_CAP = 20
 assert PHOTON_CAP < 32  # a Binomial(n, 1/2) draw is the low n bits of one half-word
 
 # Pulses per block of the random streams.  Tallies at a given seed depend on
-# it, so it is fixed rather than configurable.
+# it, so it is fixed rather than configurable; a photon's pulse is one uint16.
 BLOCK = 2**16
 
 # Decision columns; each owns an independent counter-based stream.
@@ -146,8 +151,9 @@ class _Streams:
     resetting its counter, so a stream is valid only until the next reset.
     ``uniforms`` lands its draws in ``buffer``, one array reused by every
     uniform draw, so what it returns is valid only until the next one.
-    ``bits`` and ``halves`` read the generator's raw 64-bit words, 64 coins
-    or two Binomial(n, 1/2) draws per word, and return fresh arrays.
+    ``words`` returns the generator's raw 64-bit words in a fresh array;
+    ``bits`` and ``halves`` read them as 64 coins or two Binomial(n, 1/2)
+    draws per word.
     """
 
     def __init__(self, seed: int) -> None:
@@ -167,19 +173,22 @@ class _Streams:
         """The first ``size`` uniforms of a stream."""
         return self.stream(column, block).random(out=self.buffer[:size])
 
+    def words(self, column: int, block: int, size: int) -> np.ndarray:
+        """The first ``size`` raw 64-bit words of a stream, little-endian."""
+        raw = self.stream(column, block).bit_generator.random_raw(size)
+        return raw.astype("<u8", copy=False)
+
     def bits(self, column: int, block: int, size: int) -> np.ndarray:
         """``size`` fair coins of a stream as booleans: bit ``i % 64`` of raw
         word ``i // 64`` decides pulse ``i``."""
-        self.stream(column, block)
-        words = self._bitgen.random_raw(-(-size // 64)).astype("<u8", copy=False)
+        words = self.words(column, block, -(-size // 64))
         return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
 
     def halves(self, column: int, block: int, n: np.ndarray) -> np.ndarray:
         """Binomial(n, 1/2) per entry of ``n``, one 32-bit half-word of a
         stream each (``_halves_from_words``): draw ``i`` reads half-word
         ``i % 2`` of raw word ``i // 2``, the low half first."""
-        self.stream(column, block)
-        words = self._bitgen.random_raw(-(-n.size // 2)).astype("<u8", copy=False)
+        words = self.words(column, block, -(-n.size // 2))
         return _halves_from_words(n, words.view("<u4")[:n.size])
 
 
@@ -265,24 +274,6 @@ def _binomial_from_u(
         j += 1
         at = at[hit & (n_at > j)]
     return k
-
-
-def _photons_from_u(u: np.ndarray, photons: np.ndarray) -> np.ndarray:
-    """Inverse-CDF photon numbers as int8, one uniform u in [0, 1) per draw.
-
-    A sequential search: a draw's photon number counts the entries of
-    ``photons`` below column PHOTON_CAP that are at most its u.  Each entry
-    up to the largest u is one branch-free pass over every draw; a larger
-    entry counts no draw.  On a non-decreasing table this is
-    ``searchsorted(photons, u, side="right")`` capped at PHOTON_CAP.  The
-    count starts at column 0, so a table with ``photons[0] > 0`` can draw
-    n = 0.
-    """
-    levels = photons[:PHOTON_CAP]
-    n = np.zeros(u.size, dtype=np.int8)
-    for level in levels[levels <= u.max(initial=0.0)]:
-        n += level <= u
-    return n
 
 
 @dataclass
@@ -449,24 +440,18 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
 
 @dataclass(frozen=True)
 class _Tables:
-    """The photon-number table and the channel probability of one
+    """The mean photon count of a block and the channel probability of one
     configuration; binomial draws read ``_binomial_cdf_table``'s tables."""
 
-    occupied: float  # P(n >= 1) = 1 - e^-mu
-    photons: np.ndarray  # zero-truncated Poisson(mu) CDF over n = 0..PHOTON_CAP
+    photons: float  # mu * BLOCK, the mean of a whole block's photon count
     channel: float  # t_ab, or Eve's link t_e under strategy B
 
     @classmethod
     def build(cls, cfg: SimConfig) -> "_Tables":
         system = cfg.system
         beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
-        occupied = -math.expm1(-system.source.mu)
-        # The tail above the photon cap is < 1e-19 for mu <= 1, as validate requires.
-        pmf = poisson_pmf_array(system.source.mu, PHOTON_CAP)
-        pmf[0] = 0.0
         return cls(
-            occupied=occupied,
-            photons=np.cumsum(pmf) / occupied,
+            photons=system.source.mu * BLOCK,
             channel=cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance),
         )
 
@@ -474,12 +459,27 @@ class _Tables:
 def _occupied_pulses(streams: _Streams, block: int, length: int,
                      tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """Sorted indices in [0, length) of the occupied pulses of ``block`` and
-    their photon numbers as int8, by inversion of ``tables.photons``, one
-    uniform each: a sequential search, one branch-free pass over the draws
-    per table entry up to the largest uniform (``_photons_from_u``)."""
-    at = _bernoulli_positions(streams, _COL_N, block, length, tables.occupied)
-    return at, _photons_from_u(streams.uniforms(_COL_PHOTONS, block, at.size),
-                               tables.photons)
+    their photon numbers as int8, capped at PHOTON_CAP.
+
+    The block's photon count T ~ Poisson(``tables.photons``) comes from
+    ``_COL_N``; photon i falls on pulse index half-word ``i % 4`` of raw
+    word ``i // 4`` of ``_COL_PHOTONS``, the low half first.  A sort groups
+    the photons by pulse: each run of equal indices is one occupied pulse,
+    and its length is the pulse's photon number.  The cap truncates only
+    n > PHOTON_CAP, whose probability is < 1e-19 at mu <= 1, as
+    ``SimConfig.validate`` requires.
+    """
+    total = int(streams.stream(_COL_N, block).poisson(tables.photons))
+    words = streams.words(_COL_PHOTONS, block, -(-total // 4))
+    pulses = np.sort(words.view("<u2")[:total])  # the pulse of each photon
+    if length < BLOCK:  # a Poisson process on the first length pulses
+        pulses = pulses[: np.searchsorted(pulses, length)]
+    first = np.empty(pulses.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(pulses[1:], pulses[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    n = np.diff(starts, append=pulses.size)
+    return pulses[starts].astype(np.intp), np.minimum(n, PHOTON_CAP, out=n).astype(np.int8)
 
 
 def _active_ranks(length: int, *sets: np.ndarray) -> tuple[int, list[np.ndarray]]:

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from qkd_eve_lab.core_stats import (
 )
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
+    _COL_ALICE_BIT,
+    _COL_BOB_BASIS,
     _COL_BOB_DETECT,
     _COL_BOB_SPLIT,
     _COL_CHANNEL,
@@ -59,7 +62,6 @@ from qkd_eve_lab.montecarlo import (
     _clicks,
     _halves_from_words,
     _lookup,
-    _photons_from_u,
     _strategy_a_codes,
     simulate,
 )
@@ -295,45 +297,45 @@ class TestFairCoins:
                                   for i in range(size)]
 
 
-def _photon_table(mu, truncated=True):
-    """The zero-truncated photon-number CDF of ``_Tables``, or the planted
-    untruncated one, whose first entry e^-mu is above 0."""
-    if truncated:
-        return _Tables.build(SimConfig(system=make_system(mu=mu))).photons
-    return np.cumsum(poisson_pmf_array(mu, PHOTON_CAP))
+def _occupied_reference(seed, block, length, mu):
+    """The occupied pulses of a block, built plainly from fresh streams: the
+    Poisson(mu BLOCK) count from ``_COL_N``, photon i on half-word i % 4 of
+    raw word i // 4 of ``_COL_PHOTONS`` (low half first), then a count per
+    pulse index below ``length``, capped at PHOTON_CAP."""
+    total = np.random.Generator(np.random.Philox(key=seed, counter=[0, block, _COL_N, 1])
+                                ).poisson(mu * BLOCK)
+    words = np.random.Philox(key=seed, counter=[0, block, _COL_PHOTONS, 1]).random_raw(
+        -(-total // 4))
+    counts = Counter(int(words[i // 4]) >> (16 * (i % 4)) & 0xFFFF for i in range(total))
+    pulses = sorted(pulse for pulse in counts if pulse < length)
+    return pulses, [min(counts[pulse], PHOTON_CAP) for pulse in pulses]
 
 
-def _photons_reference(u, photons):
-    return np.minimum(np.searchsorted(photons, u, side="right"), PHOTON_CAP)
+class TestOccupiedPulses:
+    """A block's photons are one Poisson count from ``_COL_N``, each on the
+    pulse that one uint16 half-word of ``_COL_PHOTONS`` names; the sort and
+    run count give what counting photons per pulse gives."""
 
+    SEED = 2**128 - 159
 
-PHOTON_MUS = [0.02, 0.1, 0.5, 0.9]
+    @pytest.mark.parametrize("mu", [0.02, 0.5, 1.0])
+    def test_matches_the_per_photon_reference(self, mu):
+        tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
+        streams = _Streams(self.SEED)
+        for block, length in [(0, BLOCK), (5, BLOCK), (2**20, 12_345), (7, 1)]:
+            streams.halves(_COL_BOB_SPLIT, block, np.ones(3, dtype=np.int8))  # another stream first
+            at, n = _occupied_pulses(streams, block, length, tables)
+            assert at.dtype == np.intp and n.dtype == np.int8
+            assert (at.tolist(), n.tolist()) == _occupied_reference(self.SEED, block, length, mu)
 
-
-class TestPhotonsFromU:
-    """The sequential photon-number search draws what searchsorted on the
-    table, capped at PHOTON_CAP, draws, for every u in [0, 1)."""
-
-    @pytest.mark.parametrize("truncated", [True, False])
-    @pytest.mark.parametrize("mu", PHOTON_MUS)
-    def test_on_and_just_below_every_entry(self, mu, truncated):
-        photons = _photon_table(mu, truncated)
-        assert (photons[0] > 0) is not truncated
-        u = np.concatenate([photons, np.nextafter(photons, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-        u = u[u < 1.0]
-        n = _photons_from_u(u, photons)
-        assert n.dtype == np.int8
-        assert np.array_equal(n, _photons_reference(u, photons))
-
-    @given(data=st.data())
-    @hyp_settings(max_examples=200, deadline=None)
-    def test_matches_searchsorted(self, data):
-        photons = _photon_table(data.draw(st.sampled_from(PHOTON_MUS)), data.draw(st.booleans()))
-        entries = photons[photons < 1.0].tolist()
-        u_values = (st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(entries)
-                    | st.sampled_from(entries).map(lambda e: float(np.nextafter(e, 0.0))))
-        u = np.array(data.draw(st.lists(u_values, max_size=60)), dtype=np.float64)
-        assert np.array_equal(_photons_from_u(u, photons), _photons_reference(u, photons))
+    def test_photon_numbers_are_capped_past_int8(self, monkeypatch):
+        """Every photon on pulse 3 of a block of 1.0 BLOCK expected photons:
+        one occupied pulse, its count far past int8's range, capped."""
+        monkeypatch.setattr(_Streams, "words", lambda self, column, block, size: np.full(
+            size, 0x0003_0003_0003_0003, dtype="<u8"))
+        tables = _Tables.build(SimConfig(system=make_system(mu=1.0)))
+        at, n = _occupied_pulses(_Streams(1), 0, BLOCK, tables)
+        assert at.tolist() == [3] and n.tolist() == [PHOTON_CAP]
 
 
 def _reference_clicks(bob_right, received_bit, k_det, k_split0):
@@ -394,43 +396,72 @@ class TestBranchFreeSelections:
             assert got.tobytes() == np.take(table, part).tobytes()
 
 
+def _one_photon_each(streams, block, length, tables):
+    """Planted defect: every occupied pulse carries one photon, so no pulse
+    is multiphoton."""
+    at, n = _occupied_pulses(streams, block, length, tables)
+    return at, np.ones_like(n)
+
+
+def _full_count_over_length(streams, block, length, tables):
+    """Planted defect: a partial block that spreads a whole block's photons
+    over its ``length`` pulses, photon on pulse p moved to p length // BLOCK."""
+    at, n = _occupied_pulses(streams, block, BLOCK, tables)
+    pulses, merged = np.unique(at * length // BLOCK, return_inverse=True)
+    return pulses, np.bincount(merged, weights=n).astype(np.int8)
+
+
 class TestPhotonStatistics:
-    """Occupied pulses placed by geometric gaps, with zero-truncated photon
-    numbers, reproduce Poisson(mu) in each of n = 0, 1, 2 and >= 3."""
+    """The occupied pulses and their photon numbers reproduce Poisson(mu) in
+    each of the cells n = 0, 1, 2 and >= 3, over 64 whole blocks (4.2e6
+    pulses) and over 64 partial blocks of 12,345 pulses (7.9e5 pulses).
 
+    A cell's count over N pulses is Binomial(N, p_n), and its doubled exact
+    tail (``binomial_p_value``) is at most a level a with probability at most
+    a.  Holm's step-down over the four cells at ALPHA = 1e-4 so rejects a
+    true law with probability at most 1e-4, whatever the dependence between
+    the cells (Holm 1979): each of the four ``test_poisson_cells`` cases
+    falsely alarms at a rate of at most 1e-4, at most 4e-4 together.  The
+    planted defects must be rejected: at mu = 0.1 one photon per occupied
+    pulse leaves the n = 2 cell at 0 where 1.9e4 are expected over whole
+    blocks, and spreading a whole block's count over 12,345 pulses raises
+    the mean photon number 5.3-fold; at both mu each defect's smallest
+    p-value underflows to 0.
+    """
+
+    ALPHA = 1e-4
     BLOCKS = 64
+    PARTIAL = 12_345
 
-    def _holm_rejected(self, mu, tables):
+    def _holm_rejected(self, mu, length, sample=_occupied_pulses):
+        tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
         counts = np.zeros(4, dtype=np.int64)
         streams = _Streams(2024)
         for block in range(self.BLOCKS):
-            at, n = _occupied_pulses(streams, block, BLOCK, tables)
-            assert at.size == n.size
+            at, n = sample(streams, block, length, tables)
+            assert at.size == n.size and np.all(n >= 1)
+            assert np.all(np.diff(at) > 0) and (at.size == 0 or (at[0] >= 0 and at[-1] < length))
             counts += np.bincount(np.minimum(n, 3), minlength=4)
-            counts[0] += BLOCK - at.size
+            counts[0] += length - at.size
         pmf = poisson_pmf_array(mu, 2)
         expected = [*pmf, 1.0 - pmf.sum()]
-        trials = self.BLOCKS * BLOCK
+        trials = self.BLOCKS * length
         assert counts.sum() == trials
         p_values = [binomial_p_value(int(c), trials, e) for c, e in zip(counts, expected)]
-        return holm_rejections(p_values, 1e-4)
+        return holm_rejections(p_values, self.ALPHA)
 
-    @staticmethod
-    def _tables(mu):
-        cfg = SimConfig(system=make_system(mu=mu), eve_model=EveModel.NONE)
-        return _Tables.build(cfg)
+    @pytest.mark.parametrize("length", [BLOCK, PARTIAL])
+    @pytest.mark.parametrize("mu", [0.1, 0.5])
+    def test_poisson_cells(self, mu, length):
+        assert self._holm_rejected(mu, length) == []
 
     @pytest.mark.parametrize("mu", [0.1, 0.5])
-    def test_poisson_cells(self, mu):
-        assert self._holm_rejected(mu, self._tables(mu)) == []
+    def test_one_photon_per_occupied_pulse_is_rejected(self, mu):
+        assert {1, 2, 3} <= set(self._holm_rejected(mu, BLOCK, _one_photon_each))
 
     @pytest.mark.parametrize("mu", [0.1, 0.5])
-    def test_untruncated_table_is_rejected(self, mu):
-        # Planted defect: the full Poisson CDF, so an occupied pulse can
-        # draw n = 0 and the vacuum cell overfills.
-        tables = self._tables(mu)
-        planted = np.cumsum(poisson_pmf_array(mu, PHOTON_CAP))
-        assert 0 in self._holm_rejected(mu, dataclasses.replace(tables, photons=planted))
+    def test_whole_count_spread_over_a_partial_block_is_rejected(self, mu):
+        assert 0 in self._holm_rejected(mu, self.PARTIAL, _full_count_over_length)
 
 
 class TestDarkPositions:
@@ -616,18 +647,32 @@ class TestOpticalFlips:
         """A lossless no-Eve run with a perfect detector and no dark counts,
         where the reaching pulses are the occupied ones.  Returns, per block,
         the length and probability the flips were placed over and the flip
-        count, and the uniforms each column drew."""
-        placed, drawn = [], {}
+        count, and the draws of each kind, (kind, column) -> count."""
+        placed, drawn = [], Counter()
         positions, stream = _bernoulli_positions, _Streams.stream
 
         class CountingRng:
+            """A block stream that counts its uniforms, Poisson counts and
+            raw words; it stands in for its own bit generator too."""
+
             def __init__(self, rng, column):
                 self.rng, self.column = rng, column
 
             def random(self, size=None, out=None):
-                drawn[self.column] = drawn.get(self.column, 0) + (
-                    size if out is None else out.size)
+                drawn["random", self.column] += size if out is None else out.size
                 return self.rng.random(size, out=out)
+
+            def poisson(self, lam):
+                drawn["poisson", self.column] += 1
+                return self.rng.poisson(lam)
+
+            @property
+            def bit_generator(self):
+                return self
+
+            def random_raw(self, size):
+                drawn["random_raw", self.column] += size
+                return self.rng.bit_generator.random_raw(size)
 
         def recording_positions(streams, column, block, length, p):
             at = positions(streams, column, block, length, p)
@@ -657,9 +702,10 @@ class TestOpticalFlips:
         one partial, are Binomial(R, qber_opt).  The count must lie inside
         the equal-tailed binomial bound at level 1e-3: neither tail at the
         count is at most 5e-4 (``_inside_binomial_tails``).  So the test
-        falsely alarms at a rate of at most 1e-3 at any R.  At this seed's R = 108,439 it accepts
-        467 to 620 flips, a false-alarm rate of 9.1e-4, and accepts flips
-        drawn at 2 qber_opt with probability 1e-53."""
+        falsely alarms at a rate of at most 1e-3 at any R.  At this seed's
+        R = 107,685 it accepts 464 to 616 flips, a false-alarm rate of
+        9.5e-4, and accepts flips drawn at 2 qber_opt with probability
+        3e-53."""
         placed, _ = self._run(monkeypatch)
         reaching = sum(length for length, _, _ in placed)
         flips = sum(count for _, _, count in placed)
@@ -672,10 +718,32 @@ class TestOpticalFlips:
         ceil(r qber_opt) + 1: about qber_opt r gaps, never r uniforms."""
         placed, drawn = self._run(monkeypatch)
         flips = sum(count for _, _, count in placed)
-        gaps = drawn[_COL_QBER_FLIP]
+        gaps = drawn["random", _COL_QBER_FLIP]
         assert flips + len(placed) <= gaps <= flips + sum(
             math.ceil(length * p) + 1 for length, p, _ in placed)
         assert gaps < 3 * self.QBER_OPT * sum(length for length, _, _ in placed)
+
+    def test_every_other_column_draws_for_its_pulses_only(self, monkeypatch):
+        """Per block, ``_COL_N`` draws one Poisson count T, also for the
+        partial block, and ``_COL_PHOTONS`` ceil(T / 4) raw words.  Over the
+        r reaching pulses the fair coins of ``_COL_BOB_BASIS`` and
+        ``_COL_ALICE_BIT`` take ceil(r / 64) words each and the half-word
+        splits of ``_COL_BOB_SPLIT`` ceil(r / 2).  No other column draws:
+        the channel at t_ab = 1, the detector at eta_b = 1 and the dark
+        counts at p_dark = 0 are certain."""
+        placed, drawn = self._run(monkeypatch)
+        totals = [np.random.Generator(np.random.Philox(key=self.SEED, counter=[0, block, _COL_N, 1])
+                                      ).poisson(0.5 * BLOCK) for block in range(len(placed))]
+        reaching = [length for length, _, _ in placed]
+        coins = sum(-(-r // 64) for r in reaching)
+        assert drawn == {
+            ("poisson", _COL_N): len(placed),
+            ("random_raw", _COL_PHOTONS): sum(-(-total // 4) for total in totals),
+            ("random_raw", _COL_BOB_BASIS): coins,
+            ("random_raw", _COL_ALICE_BIT): coins,
+            ("random_raw", _COL_BOB_SPLIT): sum(-(-r // 2) for r in reaching),
+            ("random", _COL_QBER_FLIP): drawn["random", _COL_QBER_FLIP],
+        }
 
 
 class TestStrategyADrawSizes:
@@ -1169,25 +1237,27 @@ class TestStrategyB:
     def test_blocking_shifts_photon_statistics(self):
         """The shutter setting matches the single-photon singles term, so in
         the exact model (``model_click_probs``) the singles stay within 1%
-        of the clean rate (0.81% above it), while the wrong-basis
-        coincidences rise 28% above it.
+        of the clean rate (0.43% above it), while the wrong-basis
+        coincidences rise 27% above it.  A perfect detector keeps every
+        photon, so 8e6 pulses give about 1,253 coincidences against 984
+        clean.
 
-        In 8e6 pulses the singles and the coincidences, about 12.8, must
-        each lie inside the binomial tail bound of the exact model at level
-        5e-4: false-alarm rates of 5.0e-4 and 1.9e-4, at most 6.9e-4
-        together.  The bounds these replace tested the clean rates: |z| <=
-        3.5 on the singles falsely alarmed at a rate of 1.4e-2 under the
-        exact model, and z > 0 on the coincidences at 0.18, since at this
-        size the excess is 2.8 counts.  The slow tier shows the excess at
-        1e9 pulses.
+        The singles and the coincidences must each lie inside the binomial
+        tail bound of the exact model at level 5e-4: false-alarm rates of
+        5.0e-4 and 4.8e-4, at most 9.8e-4 together.  A run at the clean
+        coincidence rate passes the coincidence bound (1,132 to 1,378) with
+        probability 2.3e-6, so the test sees the excess.  At eta_b = 0.1
+        it expected 12.8 coincidences against 10.0 clean and passed the
+        clean rate with probability 0.9995.  The slow tier shows the
+        excess at eta_b = 0.1 with 1e9 pulses.
         """
-        system = make_system(length=20.0)
+        system = make_system(length=20.0, eta=1.0)
         t_ab = system.t_ab(20.0)
         t_e = system.eve_t_e(20.0)
         gamma = solve_gamma(0.1, t_ab, 0.2, t_e)
         attack = BeamsplitAttack(lam=0.2, gamma=gamma, t_e=t_e)
-        x = 0.1 * t_ab * 0.1
-        p_click, p_coinc = model_click_probs(attack, 0.1, 0.1)
+        x = 0.1 * t_ab
+        p_click, p_coinc = model_click_probs(attack, 0.1, 1.0)
         assert p_click == pytest.approx(-math.expm1(-x), rel=0.01)
         assert p_coinc > 1.25 * 0.5 * math.expm1(-x / 2) ** 2
         sim = simulate(SimConfig(system=system, eve_model=EveModel.STRATEGY_B,
