@@ -4,7 +4,6 @@ The fast tier runs a few hundred thousand to a few million pulses; each
 statistical assertion states its false-alarm rate at its sample size, at
 most 1e-3 per test.  The full 1e8 oracle run lives in the acceptance suite.
 """
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -1250,9 +1249,9 @@ class TestStrategyB:
         5.0e-4 and 4.8e-4, at most 9.8e-4 together.  A run at the clean
         coincidence rate passes the coincidence bound (1,132 to 1,378) with
         probability 2.3e-6, so the test sees the excess.  At eta_b = 0.1
-        it expected 12.8 coincidences against 10.0 clean and passed the
-        clean rate with probability 0.9995.  The slow tier shows the
-        excess at eta_b = 0.1 with 1e9 pulses.
+        the same size expects 12.8 coincidences against 10.0 clean, and its
+        bound would pass the clean rate with probability 0.9995; the slow
+        tier shows the excess there with 1e9 pulses.
         """
         system = make_system(length=20.0, eta=1.0)
         t_ab = system.t_ab(20.0)
