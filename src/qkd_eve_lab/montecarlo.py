@@ -83,7 +83,10 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   al., SC'11).  A stream is valid only until the next reset.  Every uniform
   draw and the gap sums of the placed processes land in one buffer of the
   run, so each is used before the next draw; raw-bit draws return fresh
-  arrays.
+  arrays, and the photon indices are sorted in place in theirs.  The
+  occupied pulses' positions are gathered only where a merge with blind
+  resends or dark counts reads them, and the reaching pulses only where
+  some active pulse does not reach.
 """
 from __future__ import annotations
 
@@ -126,10 +129,6 @@ _COL_EVE_INTERCEPT = 14
 _COL_EVE_BLIND = 15
 
 
-# Masks of the low n bits of a half-word, n = 0..PHOTON_CAP.
-_LOW_BITS = (np.uint32(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint32)) - np.uint32(1)
-
-
 def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """``np.take(table, codes)`` for narrow integer codes, by indexing with
     an intp copy of them, numpy's own index type."""
@@ -137,11 +136,12 @@ def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def _halves_from_words(n: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Binomial(n, 1/2) per draw, one uint32 half-word each: the count of
-    set bits among its low n, so bits above n are ignored.  ``words`` is
-    overwritten; the draws have the dtype of ``n``."""
-    words &= _lookup(_LOW_BITS, n)
-    return np.bitwise_count(words).astype(n.dtype)
+    """Binomial(n, 1/2) per int8 count n, one uint32 half-word each: the
+    count of set bits among its low n, masked by (1 << n) - 1 in uint32, so
+    bits above n are ignored.  ``words`` is overwritten; the draws are int8."""
+    mask = np.left_shift(np.uint32(1), n.view(np.uint8), dtype=np.uint32)
+    words &= np.subtract(mask, np.uint32(1), out=mask)
+    return np.bitwise_count(words).view(np.int8)
 
 
 class _Streams:
@@ -456,30 +456,33 @@ class _Tables:
         )
 
 
-def _occupied_pulses(streams: _Streams, block: int, length: int,
-                     tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted indices in [0, length) of the occupied pulses of ``block`` and
-    their photon numbers as int8, capped at PHOTON_CAP.
+def _occupied_pulses(streams: _Streams, block: int, length: int, tables: _Tables,
+                     positions: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Sorted indices in [0, length) of the occupied pulses of ``block``, or
+    None unless ``positions``, and their photon numbers as int8, capped at
+    PHOTON_CAP.
 
     The block's photon count T ~ Poisson(``tables.photons``) comes from
     ``_COL_N``; photon i falls on pulse index half-word ``i % 4`` of raw
-    word ``i // 4`` of ``_COL_PHOTONS``, the low half first.  A sort groups
-    the photons by pulse: each run of equal indices is one occupied pulse,
-    and its length is the pulse's photon number.  The cap truncates only
-    n > PHOTON_CAP, whose probability is < 1e-19 at mu <= 1, as
-    ``SimConfig.validate`` requires.
+    word ``i // 4`` of ``_COL_PHOTONS``, the low half first.  Sorting those
+    half-words in place groups the photons by pulse: each run of equal
+    indices is one occupied pulse, and its length, the difference of
+    consecutive run starts, is the pulse's photon number.  The cap
+    truncates only n > PHOTON_CAP, whose probability is < 1e-19 at mu <= 1,
+    as ``SimConfig.validate`` requires.
     """
     total = int(streams.stream(_COL_N, block).poisson(tables.photons))
-    words = streams.words(_COL_PHOTONS, block, -(-total // 4))
-    pulses = np.sort(words.view("<u2")[:total])  # the pulse of each photon
+    pulses = streams.words(_COL_PHOTONS, block, -(-total // 4)).view("<u2")[:total]
+    pulses.sort()  # the pulse of each photon
     if length < BLOCK:  # a Poisson process on the first length pulses
         pulses = pulses[: np.searchsorted(pulses, length)]
-    first = np.empty(pulses.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(pulses[1:], pulses[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    n = np.diff(starts, append=pulses.size)
-    return pulses[starts].astype(np.intp), np.minimum(n, PHOTON_CAP, out=n).astype(np.int8)
+    edge = np.empty(pulses.size + 1, dtype=bool)  # run starts, then the end
+    edge[0] = edge[-1] = True
+    np.not_equal(pulses[1:], pulses[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    n = np.subtract(bounds[1:], bounds[:-1])
+    at = pulses[bounds[:-1]].astype(np.intp) if positions else None
+    return at, np.minimum(n, PHOTON_CAP, out=n).astype(np.int8)
 
 
 def _active_ranks(length: int, *sets: np.ndarray) -> tuple[int, list[np.ndarray]]:
@@ -529,18 +532,21 @@ def _simulate_block(
 
     # The m active pulses are those that may click.  pos locates the occupied
     # pulses, blind the blind resends and dark_at each detector's dark counts,
-    # first in the block, then among the active pulses.
-    pos, n = _occupied_pulses(streams, block, count, tables)
+    # first in the block, then among the active pulses.  Without a blind
+    # resend or a dark count the active pulses are the occupied ones, and
+    # their positions are not gathered.
     blind = _bernoulli_positions(streams, _COL_EVE_BLIND, block, count,
                                  0.0 if policy is None
                                  else policy.blind_prob * policy.attack_fraction)
     dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
     any_dark = bool(dark_at[0].size or dark_at[1].size)
-    if blind.size or any_dark:
+    merge = bool(blind.size) or any_dark
+    pos, n = _occupied_pulses(streams, block, count, tables, positions=merge)
+    if merge:
         m, (pos, blind, *dark_at) = _active_ranks(count, pos, blind, *dark_at)
     else:
-        m, pos = pos.size, slice(None)
+        m, pos = n.size, slice(None)
     # Each detector's dark counts over the active pulses; no rows without any.
     darks = np.zeros((2 if any_dark else 0, m), dtype=bool)
     for dark, at in zip(darks, dark_at):
@@ -571,14 +577,6 @@ def _simulate_block(
             return streams.bits(column, block, size)
         return uniforms(column, size) < p
 
-    def decide(column: int, p_vacuum: float, p_occupied) -> np.ndarray:
-        """u < p per active pulse, one uniform each from ``column``, with p
-        ``p_vacuum`` on vacuum pulses and ``p_occupied`` on occupied ones."""
-        u = uniforms(column)
-        out = u < p_vacuum
-        out[pos] = u[pos] < p_occupied
-        return out
-
     # Arrays only where an eavesdropper acts: whether she knows the sifted
     # bit, and whether the bit she resends disagrees with Alice's before
     # the optical-misalignment flip.
@@ -597,7 +595,9 @@ def _simulate_block(
         resend = np.zeros(m, dtype=bool)
         resend[blind] = True  # a blind position on an occupied pulse is overwritten: void
         resend[pos] = used
-        resend_error = resend & decide(_COL_EVE_ERR, 0.5, _lookup(_RESEND_ERROR_PROB, error))
+        codes = np.zeros(m, dtype=np.int8)  # a vacuum pulse's 0 resends a random bit
+        codes[pos] = error
+        resend_error = resend & (uniforms(_COL_EVE_ERR) < _lookup(_RESEND_ERROR_PROB, codes))
         eve_knows = np.zeros(m, dtype=bool)
         eve_knows[pos] = used & (k_right > 0)
 
@@ -627,9 +627,9 @@ def _simulate_block(
     reach = arrivals > 0
     for dark in darks:
         reach |= dark
-    at = np.flatnonzero(reach)
-    r = at.size
+    at = slice(None) if reach.all() else np.flatnonzero(reach)
     arrivals = arrivals[at]
+    r = arrivals.size
     bob_right = chance(_COL_BOB_BASIS, 0.5, r)  # his basis equals Alice's
     k_det = binomial(_COL_BOB_DETECT, arrivals, system.detector.eta_b)
     k_split0 = binomial(_COL_BOB_SPLIT, k_det, 0.5)

@@ -47,7 +47,6 @@ from qkd_eve_lab.montecarlo import (
     _COL_QBER_FLIP,
     BLOCK,
     PHOTON_CAP,
-    _LOW_BITS,
     _RESEND_ERROR_PROB,
     _TRIALS,
     SimConfig,
@@ -85,6 +84,9 @@ from qkd_eve_lab.verify import (
 
 N_FAST = 2_000_000
 DATA = Path(__file__).parent / "data"
+
+# Masks of the low n bits of a half-word, n = 0..PHOTON_CAP, as a table.
+_LOW_BITS = (np.uint32(1) << np.arange(PHOTON_CAP + 1, dtype=np.uint32)) - np.uint32(1)
 
 
 def _dark_positions(seed, column, block, length, p):
@@ -271,6 +273,15 @@ class TestFairCoins:
         cdf = np.cumsum(np.bincount(k, minlength=n + 1)) / 2**n
         assert np.array_equal(cdf, _binomial_cdf_table(0.5)[n, : n + 1])
 
+    def test_shift_mask_equals_the_low_bits_table(self):
+        """The mask (1 << n) - 1, shifted in uint32 on an unsigned view of
+        the int8 counts, is the table of low-n-bit masks for every n up to
+        PHOTON_CAP: all-ones half-words are left holding their masks."""
+        n = np.arange(PHOTON_CAP + 1, dtype=np.int8)
+        words = np.full(n.size, 2**32 - 1, dtype=np.uint32)
+        assert _halves_from_words(n, words).tolist() == n.tolist()
+        assert words.dtype == np.uint32 and words.tolist() == _LOW_BITS.tolist()
+
     def test_draw_i_counts_the_low_n_bits_of_half_word_i(self):
         streams = _Streams(self.SEED)
         for size in (0, 1, 2, 7 * (PHOTON_CAP + 1)):
@@ -327,14 +338,38 @@ class TestOccupiedPulses:
             assert at.dtype == np.intp and n.dtype == np.int8
             assert (at.tolist(), n.tolist()) == _occupied_reference(self.SEED, block, length, mu)
 
+    @staticmethod
+    def _all_on_pulse_3(monkeypatch):
+        monkeypatch.setattr(_Streams, "words", lambda self, column, block, size: np.full(
+            size, 0x0003_0003_0003_0003, dtype="<u8"))
+
     def test_photon_numbers_are_capped_past_int8(self, monkeypatch):
         """Every photon on pulse 3 of a block of 1.0 BLOCK expected photons:
         one occupied pulse, its count far past int8's range, capped."""
-        monkeypatch.setattr(_Streams, "words", lambda self, column, block, size: np.full(
-            size, 0x0003_0003_0003_0003, dtype="<u8"))
+        self._all_on_pulse_3(monkeypatch)
         tables = _Tables.build(SimConfig(system=make_system(mu=1.0)))
         at, n = _occupied_pulses(_Streams(1), 0, BLOCK, tables)
         assert at.tolist() == [3] and n.tolist() == [PHOTON_CAP]
+
+    def test_photon_numbers_do_not_depend_on_the_position_gather(self, monkeypatch):
+        """A block without a merge skips the gather of its occupied pulses'
+        positions; its photon numbers are those of the gathering call, over
+        whole and partial blocks and for a count capped past int8."""
+        def both(seed, block, length, tables):
+            _, n = _occupied_pulses(_Streams(seed), block, length, tables)
+            at, n_alone = _occupied_pulses(_Streams(seed), block, length, tables,
+                                           positions=False)
+            assert at is None and n.dtype == n_alone.dtype == np.int8
+            return n.tolist(), n_alone.tolist()
+
+        for mu in (0.02, 0.5, 1.0):
+            tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
+            for block, length in [(0, BLOCK), (5, BLOCK), (2**20, 12_345), (7, 1)]:
+                n, n_alone = both(self.SEED, block, length, tables)
+                assert n == n_alone
+        self._all_on_pulse_3(monkeypatch)
+        n, n_alone = both(1, 0, BLOCK, _Tables.build(SimConfig(system=make_system(mu=1.0))))
+        assert n == n_alone == [PHOTON_CAP]
 
 
 def _reference_clicks(bob_right, received_bit, k_det, k_split0):
@@ -546,7 +581,8 @@ def _block_edge_kwargs(case):
 def _golden_kwargs(case):
     """Small fixed-seed runs whose tallies are stored under tests/data: no
     Eve with dark counts, and in the ideal limits (0 km, a perfect detector,
-    no dark counts); strategy A blind-filling at 0 km (dense), alone and
+    no dark counts), ``none_perfect``, where every active pulse reaches
+    Bob and the kernel keeps them all in place; strategy A blind-filling at 0 km (dense), alone and
     with attack_fraction < 1; strategy A with attack_fraction < 1 at 20 km
     (the intercept and channel columns); strategy B with a shutter, and pure
     beam splitting over a lossless link at 0 km with a perfect detector."""
@@ -855,6 +891,26 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_dense_no_eve_peak_allocation(self):
+        """A dense no-Eve block without dark counts gathers no positions of
+        its occupied pulses, keeps its reaching pulses in place (every one
+        reaches at 0 km and eta_b = 1) and builds its Binomial(n, 1/2)
+        masks in uint32, so a 4-block run at mu = 0.5 peaks at 1.02 MiB
+        under tracemalloc, below the 1.15 MiB bound.  It peaked at 1.31 MiB
+        with an intp position gather, a copy of the reaching pulses and an
+        intp copy of the counts to index a mask table."""
+        cfg = SimConfig(system=make_system(mu=0.5, length=0.0, eta=1.0, qber_opt=0.005),
+                        eve_model=EveModel.NONE, distance_km=0.0, n_pulses=4 * BLOCK,
+                        seed=3)
+        simulate(cfg)  # warm-up, as for strategy A
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * 2**20
 
 
 class TestDeterminism:
