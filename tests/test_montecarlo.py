@@ -582,8 +582,9 @@ def _golden_kwargs(case):
     """Small fixed-seed runs whose tallies are stored under tests/data: no
     Eve with dark counts, and in the ideal limits (0 km, a perfect detector,
     no dark counts), ``none_perfect``, where every active pulse reaches
-    Bob and the kernel keeps them all in place; strategy A blind-filling at 0 km (dense), alone and
-    with attack_fraction < 1; strategy A with attack_fraction < 1 at 20 km
+    Bob and the kernel keeps them all in place; strategy A blind-filling at
+    0 km (dense), alone and with attack_fraction < 1; strategy A with
+    attack_fraction < 1 at 20 km
     (the intercept and channel columns); strategy B with a shutter, and pure
     beam splitting over a lossless link at 0 km with a perfect detector."""
     system = make_system(length=20.0, p_dark=1e-3, qber_opt=0.005)
@@ -872,6 +873,18 @@ class TestActiveRanks:
 
 
 class TestBlockMemory:
+    @staticmethod
+    def _peak(cfg):
+        """Peak traced allocation of a second ``simulate``: the first warms
+        the cached binomial tables."""
+        simulate(cfg)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_dense_strategy_a_peak_allocation(self):
         """A blind-filled block computes strategy A on its active pulses
         only, about a fifth of the block here, and keeps counts and ranks
@@ -883,14 +896,7 @@ class TestBlockMemory:
                         eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=4 * BLOCK,
                         seed=3)
         assert montecarlo._strategy_a_policy(cfg).blind_prob > 0
-        simulate(cfg)  # warm-up: the binomial tables are cached
-        tracemalloc.start()
-        try:
-            simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+        assert self._peak(cfg) < 3 * 2**20
 
     def test_dense_no_eve_peak_allocation(self):
         """A dense no-Eve block without dark counts gathers no positions of
@@ -903,14 +909,7 @@ class TestBlockMemory:
         cfg = SimConfig(system=make_system(mu=0.5, length=0.0, eta=1.0, qber_opt=0.005),
                         eve_model=EveModel.NONE, distance_km=0.0, n_pulses=4 * BLOCK,
                         seed=3)
-        simulate(cfg)  # warm-up, as for strategy A
-        tracemalloc.start()
-        try:
-            simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.15 * 2**20
+        assert self._peak(cfg) < 1.15 * 2**20
 
 
 class TestDeterminism:
