@@ -102,6 +102,12 @@ def _sweep(settings: Settings) -> tuple[float, float, float]:
     return d_min, d_max, settings.d_step
 
 
+def _check_strategy_a_mu(settings: Settings) -> None:
+    """Strategy A's class-A weight 1 - mu/2 is positive only for mu < 2."""
+    if not settings.mu < 2:
+        raise ConfigError(f"source.mu: strategy A needs mu in (0, 2), got {settings.mu}")
+
+
 def _eve_t_e(settings: Settings, distance_km: float) -> float:
     if settings.eve_t_e is not None:
         return settings.eve_t_e
@@ -156,6 +162,7 @@ def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
 
 def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
     d_min, d_max, step = _sweep(settings)
+    _check_strategy_a_mu(settings)
     rows = strategy_a.regime_curve(settings.mu, settings.alpha_ab, d_min, d_max, step)
     crossover = strategy_a.pure_b_crossover_km(settings.mu, settings.alpha_ab)
     _write_csv(
@@ -186,6 +193,8 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
     distance = settings.length_ab
     t_ab = system.t_ab(distance)
     t_e = _eve_t_e(settings, distance)
+    if t_e < t_ab:  # only a set eve.t_e can fall below the installed link
+        raise ConfigError(f"eve.t_e: must be >= t_ab = {t_ab:.6g}, got {t_e}")
     rows = strategy_b.gamma_sweep(
         settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses),
         mode=system.basis_mode,
@@ -227,6 +236,7 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
                           "channel.alpha_e and channel.bee_line_d; leave it auto")
     system = settings.system()
     d_min, d_max, step = _sweep(settings)
+    _check_strategy_a_mu(settings)  # the cutoff table solves strategy A at source.mu
     stem = args.out if args.out is not None else Path("rates.csv")
     # Every file is computed before any is written, so a failed run writes none.
     files: dict[Path, list[str]] = {}

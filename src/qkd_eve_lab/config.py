@@ -71,10 +71,7 @@ def _parse_enum(cls: type[enum.Enum]) -> Callable[[str], enum.Enum]:
 
 
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
-    values = tuple(_parse_float(part) for part in raw.split(",") if part.strip())
-    if not values:
-        raise ConfigError("expected at least one mu, got an empty list")
-    return values
+    return tuple(_parse_float(part) for part in raw.split(","))
 
 
 def _ends(bounds: str) -> list[float]:
@@ -211,7 +208,7 @@ class Settings:
     d_step: float = _key("sweep.step", _parse_float, 1.0, "(0, inf)",
                          "distance step of a sweep, km")
     mu_values: tuple[float, ...] = _key("rates.mu_values", _parse_mu_list,
-                                        (0.05, 0.1, 0.2), "(0, inf)",
+                                        (0.05, 0.1, 0.2), "(0, 2)",
                                         "mu of each rates curve, comma-separated")
 
     def apply(self, pairs: dict[str, str]) -> None:
@@ -243,8 +240,7 @@ class Settings:
                 source=SourceParams(mu=self.mu, nu=self.nu),
                 channel=ChannelParams(alpha_ab=self.alpha_ab, length_ab=self.length_ab,
                                       alpha_e=self.alpha_e, bee_line_d=self.bee_line_d),
-                detector=DetectorParams(eta_b=self.eta_b, p_dark=self.p_dark,
-                                        n_gated=self.basis_mode.n_gated),
+                detector=DetectorParams(eta_b=self.eta_b, p_dark=self.p_dark),
                 basis_mode=self.basis_mode, qber_opt=self.qber_opt,
                 qber_attrib_floor=self.qber_attrib_floor, f_ec=self.f_ec,
                 n_pulses=self.n_pulses, monitor_tof=self.monitor_tof,

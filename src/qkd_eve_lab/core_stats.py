@@ -73,10 +73,6 @@ class SourceParams:
         if not self.nu > 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
 
-    @property
-    def second_order_valid(self) -> bool:
-        return self.mu <= SECOND_ORDER_MU_LIMIT
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -124,27 +120,19 @@ class ChannelParams:
         """Total loss of the installed link in dB."""
         return self.alpha_ab * self.length_ab
 
-    @property
-    def t_ab(self) -> float:
-        """Transmittance of the installed link."""
-        return transmission(self.loss_ab_db)
-
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Bob's gated single-photon counters."""
+    """Bob's gated single-photon counters; ``BasisMode.n_gated`` says how many."""
 
     eta_b: float = 0.10
     p_dark: float = 1.0e-6
-    n_gated: int = 2
 
     def __post_init__(self) -> None:
         if not 0 < self.eta_b <= 1:
             raise ValueError(f"eta_b must be in (0, 1], got {self.eta_b}")
         if not 0 <= self.p_dark <= 1:
             raise ValueError(f"p_dark must be in [0, 1], got {self.p_dark}")
-        if self.n_gated not in (2, 4):
-            raise ValueError(f"n_gated must be 2 or 4, got {self.n_gated}")
 
 
 def poisson_pmf(n: int, mu: float) -> float:
@@ -157,15 +145,6 @@ def poisson_pmf(n: int, mu: float) -> float:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
-def poisson_pmf_array(mu: float, n_max: int) -> np.ndarray:
-    """Photon-number probabilities for n = 0..n_max as an array."""
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    n = np.arange(n_max + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    return np.exp(n * math.log(mu) - mu - log_fact)
 
 
 def multi_photon_fraction(mu: float, mode: str = "exact") -> float:
@@ -262,23 +241,16 @@ def p_coinc(
 
 @dataclass(frozen=True)
 class Rates:
-    """Raw and sifted bit rates, absolute and per pulse."""
+    """Raw and sifted bit rates in Hz."""
 
     raw_hz: float
     sifted_hz: float
-    raw_per_pulse: float
-    sifted_per_pulse: float
 
 
 def rates(src: SourceParams, t: float, det: DetectorParams) -> Rates:
     """Raw rate nu * p_single and the sifted rate after basis reconciliation."""
     ps = p_single(src, t, det)
-    return Rates(
-        raw_hz=src.nu * ps,
-        sifted_hz=src.nu * ps / 2.0,
-        raw_per_pulse=ps,
-        sifted_per_pulse=ps / 2.0,
-    )
+    return Rates(raw_hz=src.nu * ps, sifted_hz=src.nu * ps / 2.0)
 
 
 def _check_t(t: float | np.ndarray) -> None:

@@ -24,12 +24,13 @@ from .config import SystemConfig
 from .core_stats import EveModel, p_single
 from .search import bisect, distance_grid, golden_max
 
+_D_LIMIT = 500.0  # km, the farthest distance max_distance searches
+
 
 @dataclass(frozen=True)
 class QberBudget:
-    """Decomposition of the measured error rate (floats or arrays)."""
+    """Dark-count, measured and attributed error rates (floats or arrays)."""
 
-    qber_opt: float
     qber_det: float
     qber_mes: float
     qber_attrib: float
@@ -45,7 +46,6 @@ class RatePoint:
     i_eve: float
     mu_opt: float | None
     r_net_normalized: float
-    r_net_relative: float
 
 
 def binary_entropy(x: float) -> float:
@@ -61,10 +61,10 @@ def binary_entropy(x: float) -> float:
 def qber_model(distance_km: float, cfg: SystemConfig) -> QberBudget:
     """Measured QBER at a given distance and its attribution; elementwise.
 
-    Dark counts contribute (n_gated p_dark / 2) errors per
-    (p_single + n_gated p_dark) clicks; the optical part is constant.  The
-    part attributed to the eavesdropper is the excess over the dark-count
-    share, never less than the configured floor.
+    Dark counts contribute (n_gated p_dark / 2) errors per (p_single +
+    n_gated p_dark) clicks, n_gated from ``cfg.basis_mode``; the optical part
+    is constant.  The part attributed to the eavesdropper is the excess over
+    the dark-count share, never less than the configured floor.
     """
     if np.any(np.less(distance_km, 0)):
         raise ValueError(f"distance must be >= 0, got {distance_km}")
@@ -73,16 +73,16 @@ def qber_model(distance_km: float, cfg: SystemConfig) -> QberBudget:
 
 def _net(distance_km, mu, i_eve, cfg: SystemConfig) -> tuple[QberBudget, np.ndarray]:
     """QBER budget and per-pulse net rate (p_single / 2) * secret fraction,
-    elementwise in distance, mu and I(A,E)."""
+    elementwise in distance, mu and I(A,E), over cfg.basis_mode's gated detectors."""
     ps = p_single(replace(cfg.source, mu=mu), cfg.t_ab(distance_km), cfg.detector)
-    dark = cfg.detector.n_gated * cfg.detector.p_dark
+    dark = cfg.basis_mode.n_gated * cfg.detector.p_dark
     clicks = ps + dark
     with np.errstate(divide="ignore", invalid="ignore"):
         qber_det = np.where(clicks > 0, (dark / 2.0) / clicks, 0.0)[()]
     qber_mes = np.minimum(0.5, cfg.qber_opt + qber_det)
     qber_attrib = np.maximum(cfg.qber_attrib_floor, np.maximum(0.0, qber_mes - qber_det))
     secret = np.maximum(0.0, 1.0 - cfg.f_ec * binary_entropy(qber_mes) - i_eve)
-    return QberBudget(cfg.qber_opt, qber_det, qber_mes, qber_attrib), (ps / 2.0) * secret
+    return QberBudget(qber_det, qber_mes, qber_attrib), (ps / 2.0) * secret
 
 
 def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.ndarray:
@@ -114,15 +114,12 @@ def _points(distances: list[float], eve: EveModel, cfg: SystemConfig) -> list[Ra
     else:
         i_eve = eve_information(d, eve, cfg)
     budget, r_net = _net(d, mu, i_eve, cfg)
-    # Zero-distance no-eavesdropper rate used for relative normalization.
-    reference = _net(0.0, cfg.source.mu, 0.0, cfg)[1]
-    relative = r_net / reference if reference > 0 else np.zeros_like(r_net)
     columns = zip(d.tolist(), cfg.t_ab(d).tolist(), budget.qber_det.tolist(),
                   budget.qber_mes.tolist(), budget.qber_attrib.tolist(), i_eve.tolist(),
-                  mu_opt, r_net.tolist(), relative.tolist())
+                  mu_opt, r_net.tolist())
     return [
-        RatePoint(dk, t, QberBudget(cfg.qber_opt, det, mes, attrib), info, m, r, rel)
-        for dk, t, det, mes, attrib, info, m, r, rel in columns
+        RatePoint(dk, t, QberBudget(det, mes, attrib), info, m, r)
+        for dk, t, det, mes, attrib, info, m, r in columns
     ]
 
 
@@ -167,16 +164,16 @@ def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[np.ndarray,
     return mu_opt, value(mu_opt)
 
 
-def max_distance(eve: EveModel, cfg: SystemConfig, d_limit: float = 500.0) -> float:
+def max_distance(eve: EveModel, cfg: SystemConfig) -> float:
     """Largest distance with a positive net rate, to 1/64 km.
 
-    One array pass gives the rate on the 1 km grid 0..d_limit.  The last
+    One array pass gives the rate on the 1 km grid 0..500 km.  The last
     positive grid point and the one after it bracket the cutoff, and five
     halvings with :func:`net_rate` leave a 1/32 km bracket, whose midpoint
     is returned.  Returns 0.0 when no grid point is positive and infinity
     when the last one still is ("unbounded at grid limit").
     """
-    grid = distance_grid(0.0, d_limit, 1.0)
+    grid = distance_grid(0.0, _D_LIMIT, 1.0)
     points = _points(grid, eve, cfg)
     last = max((i for i, p in enumerate(points) if p.r_net_normalized > 0.0), default=None)
     if last is None:

@@ -398,7 +398,6 @@ class _StrategyAPolicy:
 
     resend_prob: np.ndarray  # A, B, C, D
     blind_prob: float
-    attack_fraction: float
 
 
 # Probability that a strategy-A resend carries the wrong bit, by error code:
@@ -435,34 +434,16 @@ def _strategy_a_policy(cfg: SimConfig) -> _StrategyAPolicy:
         supply = mix.supply[label]
         probs.append(mix.usage[label] / supply if supply > 0 else 0.0)
     blind_prob = min(1.0, mix.blind / math.exp(-mu))  # 0 unless in deficit
-    return _StrategyAPolicy(np.array(probs), blind_prob, cfg.attack_fraction)
+    return _StrategyAPolicy(np.array(probs), blind_prob)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """The mean photon count of a block and the channel probability of one
-    configuration; binomial draws read ``_binomial_cdf_table``'s tables."""
-
-    photons: float  # mu * BLOCK, the mean of a whole block's photon count
-    channel: float  # t_ab, or Eve's link t_e under strategy B
-
-    @classmethod
-    def build(cls, cfg: SimConfig) -> "_Tables":
-        system = cfg.system
-        beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
-        return cls(
-            photons=system.source.mu * BLOCK,
-            channel=cfg.attack.t_e if beamsplit else system.t_ab(cfg.distance),
-        )
-
-
-def _occupied_pulses(streams: _Streams, block: int, length: int, tables: _Tables,
+def _occupied_pulses(streams: _Streams, block: int, length: int, mu: float,
                      positions: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Sorted indices in [0, length) of the occupied pulses of ``block``, or
     None unless ``positions``, and their photon numbers as int8, capped at
     PHOTON_CAP.
 
-    The block's photon count T ~ Poisson(``tables.photons``) comes from
+    The block's photon count T ~ Poisson(mu * BLOCK) comes from
     ``_COL_N``; photon i falls on pulse index half-word ``i % 4`` of raw
     word ``i // 4`` of ``_COL_PHOTONS``, the low half first.  Sorting those
     half-words in place groups the photons by pulse: each run of equal
@@ -471,7 +452,7 @@ def _occupied_pulses(streams: _Streams, block: int, length: int, tables: _Tables
     truncates only n > PHOTON_CAP, whose probability is < 1e-19 at mu <= 1,
     as ``SimConfig.validate`` requires.
     """
-    total = int(streams.stream(_COL_N, block).poisson(tables.photons))
+    total = int(streams.stream(_COL_N, block).poisson(mu * BLOCK))
     pulses = streams.words(_COL_PHOTONS, block, -(-total // 4)).view("<u2")[:total]
     pulses.sort()  # the pulse of each photon
     if length < BLOCK:  # a Poisson process on the first length pulses
@@ -524,9 +505,10 @@ def _clicks(bob_right: np.ndarray, received_bit: np.ndarray, k_det: np.ndarray,
 
 
 def _simulate_block(
-    cfg: SimConfig, policy: _StrategyAPolicy | None, tables: _Tables,
+    cfg: SimConfig, policy: _StrategyAPolicy | None, channel: float,
     streams: _Streams, block: int,
 ) -> SimResult:
+    """Tallies of ``block``; ``channel`` is t_ab, or Eve's link t_e under strategy B."""
     count = min(BLOCK, cfg.n_pulses - block * BLOCK)
     system: SystemConfig = cfg.system
 
@@ -537,12 +519,12 @@ def _simulate_block(
     # their positions are not gathered.
     blind = _bernoulli_positions(streams, _COL_EVE_BLIND, block, count,
                                  0.0 if policy is None
-                                 else policy.blind_prob * policy.attack_fraction)
+                                 else policy.blind_prob * cfg.attack_fraction)
     dark_at = [_bernoulli_positions(streams, column, block, count, system.detector.p_dark)
                for column in (_COL_DARK_0, _COL_DARK_1)]
     any_dark = bool(dark_at[0].size or dark_at[1].size)
     merge = bool(blind.size) or any_dark
-    pos, n = _occupied_pulses(streams, block, count, tables, positions=merge)
+    pos, n = _occupied_pulses(streams, block, count, system.source.mu, positions=merge)
     if merge:
         m, (pos, blind, *dark_at) = _active_ranks(count, pos, blind, *dark_at)
     else:
@@ -586,12 +568,11 @@ def _simulate_block(
         # Photon-number cases of the occupied pulses only.  She learns the
         # bit whenever a photon is in her right basis; with none she resends
         # a random bit.
-        p = policy
         k_right = binomial(_COL_EVE_SPLIT, n, 0.5)
         k_w0 = binomial(_COL_EVE_AUX, n - k_right, 0.5)
         case, error = _strategy_a_codes(n, k_right, k_w0)
-        intercepted = chance(_COL_EVE_INTERCEPT, p.attack_fraction, n.size)
-        used = intercepted & (uniforms(_COL_EVE_USE, n.size) < _lookup(p.resend_prob, case))
+        intercepted = chance(_COL_EVE_INTERCEPT, cfg.attack_fraction, n.size)
+        used = intercepted & (uniforms(_COL_EVE_USE, n.size) < _lookup(policy.resend_prob, case))
         resend = np.zeros(m, dtype=bool)
         resend[blind] = True  # a blind position on an occupied pulse is overwritten: void
         resend[pos] = used
@@ -604,8 +585,8 @@ def _simulate_block(
         # Resent pulses carry one fresh photon straight into the receiver;
         # pulses she left alone travel the installed fiber.
         arrivals = resend.view(np.int8)  # resend is not read again
-        if p.attack_fraction < 1.0:
-            passed = binomial(_COL_CHANNEL, n, tables.channel)
+        if cfg.attack_fraction < 1.0:
+            passed = binomial(_COL_CHANNEL, n, channel)
             merged = arrivals[pos]
             np.copyto(merged, passed, where=~intercepted)
             arrivals[pos] = merged
@@ -614,13 +595,13 @@ def _simulate_block(
             n_occupied, n = n, np.zeros(m, dtype=n.dtype)
             n[pos] = n_occupied
         if cfg.eve_model is EveModel.NONE:
-            arrivals = binomial(_COL_CHANNEL, n, tables.channel)
+            arrivals = binomial(_COL_CHANNEL, n, channel)
         else:
             k_e = binomial(_COL_EVE_SPLIT, n, cfg.attack.lam)
             eve_detected = k_e > 0
             eve_knows = eve_detected & chance(_COL_EVE_AUX, 0.5)
             shutter_open = eve_detected | chance(_COL_EVE_USE, cfg.attack.gamma)
-            arrivals = binomial(_COL_CHANNEL, n - k_e, tables.channel)
+            arrivals = binomial(_COL_CHANNEL, n - k_e, channel)
             arrivals *= shutter_open
 
     # Receiver, only where a photon or a dark count arrives: no other pulse can click.
@@ -665,11 +646,12 @@ def _simulate_chunk(cfg: SimConfig, policy: _StrategyAPolicy | None,
                     start: int, stop: int) -> SimResult:
     """Tallies of the pulses [start, stop), which starts on a block edge,
     simulated one block at a time with one ``_Streams``."""
-    tables = _Tables.build(cfg)
+    beamsplit = cfg.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE)
+    channel = cfg.attack.t_e if beamsplit else cfg.system.t_ab(cfg.distance)
     streams = _Streams(cfg.seed)
     total = SimResult()
     for block in range(start // BLOCK, -(-stop // BLOCK)):
-        total = total + _simulate_block(cfg, policy, tables, streams, block)
+        total = total + _simulate_block(cfg, policy, channel, streams, block)
     return total
 
 

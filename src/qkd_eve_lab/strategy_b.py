@@ -29,6 +29,8 @@ from .search import bisect, golden_max
 
 _BRACKET_TOL = -1e-15
 _EDGE_TOL = 1e-12
+_LAM_STEP = 1e-3  # spacing of max_stealth_info's lam grid
+_GAMMA_POINTS = 101  # evenly spaced shutter settings of gamma_sweep, ends included
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,6 @@ def max_stealth_info(
     eta_b: float,
     n_pulses: float,
     mode: BasisMode = BasisMode.ACTIVE,
-    grid_step: float = 1e-3,
 ) -> StealthOptimum:
     """Best information compatible with matched singles and a quiet alarm.
 
@@ -363,8 +364,8 @@ def max_stealth_info(
     so each search is one-dimensional.  The pure beam-splitting tap fraction
     lam_bsa, where gamma = 1 alone matches the clean singles, comes from 200
     halvings (x e^{-mu x} is monotone for x <= 1 < 1/mu).  An element's lam
-    grid is i * grid_step for i < ceil(lam_bsa / grid_step), the points of
-    ``np.arange(0, lam_bsa, grid_step)``.  Its first information maximum
+    grid is i * 0.001 for i < ceil(lam_bsa / 0.001), the points of
+    ``np.arange(0, lam_bsa, 0.001)``.  Its first information maximum
     among the stealthy points (gamma < 1, z <= 2) is bisected onto the z = 2
     contour toward its louder neighbor, and lam_bsa replaces it when that
     gives more.  With no stealthy grid point, lam_bsa (gamma = 1) is
@@ -405,8 +406,8 @@ def max_stealth_info(
         lam_bsa = 0.5 * (lo + hi)
         fb_gamma, fb_info, fb_z = evaluate(lam_bsa)
 
-        n_lams = np.ceil(lam_bsa / grid_step)
-        lams = np.arange(max(1, int(n_lams.max(initial=0.0)))) * grid_step
+        n_lams = np.ceil(lam_bsa / _LAM_STEP)
+        lams = np.arange(max(1, int(n_lams.max(initial=0.0)))) * _LAM_STEP
         gamma_g, info_g, z_g = evaluate(lams)
         stealthy = (np.arange(lams.size) < n_lams) & (z_g <= 2.0) & (gamma_g < 1.0)
         idx = np.argmax(np.where(stealthy, info_g, -np.inf), axis=1, keepdims=True)
@@ -465,16 +466,17 @@ def gamma_sweep(
     t_e: float,
     eta_b: float,
     n_pulses: float,
-    n_points: int = 101,
     mode: BasisMode = BasisMode.ACTIVE,
 ) -> list[dict[str, float]]:
-    """Rows (gamma, expected_coincidences, z_score, info) across the shutter range.
+    """Rows (gamma, expected_coincidences, z_score, info) at gamma = 0, 0.01, ..., 1.
 
     For each gamma the tap fraction is re-solved so the singles stay
     matched (decreasing-branch root); gammas that cannot be matched are
-    skipped.
+    skipped.  Like :func:`max_stealth_info`, it needs t_e >= t_ab.
     """
-    gamma = np.linspace(0.0, 1.0, n_points)
+    if t_e < t_ab:
+        raise ValueError(f"t_e must be >= t_ab, got t_e={t_e} < t_ab={t_ab}")
+    gamma = np.linspace(0.0, 1.0, _GAMMA_POINTS)
     lam = lambda_for_gamma(mu, t_ab, t_e, gamma)
     gamma, lam = gamma[~np.isnan(lam)], lam[~np.isnan(lam)]
     _, m, _, bracket = _link(mu, lam, gamma, t_e)

@@ -337,10 +337,11 @@ class TestStrategyAMuDomain:
         ["rates", "--set", "rates.mu_values=2.5", "--set", "sweep.step=50"],
         ["montecarlo", "--set", "source.mu=3", "--set", "eve.model=strategy-a",
          "--set", "sim.pulses=1e4"],
+        ["rates", "--set", "source.mu=3", "--set", "sweep.step=50"],
     ])
-    def test_exits_one(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
-        assert "mu" in capsys.readouterr().err
+    def test_exits_one(self, argv, tmp_path):
+        """The error names the key of the first ``--set``, the one out of range."""
+        _rejected(argv + ["--out", str(tmp_path / "out.csv")], argv[2].partition("=")[0])
 
 
 class TestRatesFailureWritesNothing:
@@ -554,6 +555,7 @@ class TestBoundsOnEverySubcommand:
         (["strategy-a", "--set", "sweep.d_max=0"], "sweep.d_max"),
         (["rates", "--set", "eve.t_e=0.5", "--set", "sweep.d_max=10",
           "--set", "rates.mu_values=0.1"], "eve.t_e"),
+        (["strategy-b", "--set", "eve.t_e=0.03"], "eve.t_e"),
     ])
     def test_measured_case_names_its_key(self, argv, key, tmp_path):
         _rejected(argv + ["--out", str(tmp_path / "out.csv"),
@@ -623,5 +625,12 @@ class TestRatesMuValues:
     def test_empty_list_exits_one(self, tmp_path):
         out = tmp_path / "rates.csv"
         _rejected(["rates", "--out", str(out), "--set", "rates.mu_values="],
+                  "rates.mu_values")
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_entry_exits_one(self, tmp_path):
+        """Every comma-separated entry is parsed: an empty one is not skipped."""
+        out = tmp_path / "rates.csv"
+        _rejected(["rates", "--out", str(out), "--set", "rates.mu_values=0.1,,0.2"],
                   "rates.mu_values")
         assert not list(tmp_path.iterdir())

@@ -23,7 +23,6 @@ from qkd_eve_lab.core_stats import (
     p_single,
     p_single_linear,
     poisson_pmf,
-    poisson_pmf_array,
     rates,
     to_loss_db,
     transmission,
@@ -74,11 +73,6 @@ class TestPoissonPmf:
             poisson_pmf(0, -0.1)
         with pytest.raises(ValueError):
             poisson_pmf(-1, 0.1)
-
-    def test_array_matches_scalar(self):
-        arr = poisson_pmf_array(0.1, 20)
-        for n in range(21):
-            assert arr[n] == pytest.approx(poisson_pmf(n, 0.1), rel=1e-12)
 
 
 class TestMultiPhotonFraction:
@@ -260,7 +254,6 @@ class TestRates:
     def test_sifted_is_half_of_raw(self, mu, t):
         r = rates(SourceParams(mu=mu), t, DET)
         assert r.sifted_hz == pytest.approx(r.raw_hz / 2, rel=1e-12)
-        assert r.sifted_per_pulse == pytest.approx(r.raw_per_pulse / 2, rel=1e-12)
 
 
 class TestParamValidation:
@@ -269,8 +262,6 @@ class TestParamValidation:
             SourceParams(mu=0.0)
         with pytest.raises(ValueError):
             SourceParams(mu=0.1, nu=0.0)
-        assert SourceParams(mu=0.1).second_order_valid
-        assert not SourceParams(mu=0.5).second_order_valid
 
     def test_detector(self):
         with pytest.raises(ValueError):
@@ -279,8 +270,6 @@ class TestParamValidation:
             DetectorParams(eta_b=1.5)
         with pytest.raises(ValueError):
             DetectorParams(p_dark=-1e-9)
-        with pytest.raises(ValueError):
-            DetectorParams(n_gated=3)
 
     @pytest.mark.parametrize("p_dark", [1.0 + 1e-12, 2.0, math.nan, math.inf])
     def test_detector_dark_count_probability_is_capped_at_one(self, p_dark):
@@ -295,7 +284,6 @@ class TestParamValidation:
             ChannelParams(alpha_ab=-0.1)
         with pytest.raises(ValueError):
             ChannelParams(bee_line_d=100.0, length_ab=60.0)
-        assert ChannelParams().t_ab == pytest.approx(transmission(15.0))
 
     @pytest.mark.parametrize("make,field", [
         (ChannelParams, "alpha_ab"),

@@ -25,7 +25,7 @@ from qkd_eve_lab.core_stats import (
     ChannelParams,
     DetectorParams,
     SourceParams,
-    poisson_pmf_array,
+    poisson_pmf,
 )
 from qkd_eve_lab.keyrate import EveModel
 from qkd_eve_lab.montecarlo import (
@@ -53,7 +53,6 @@ from qkd_eve_lab.montecarlo import (
     SimResult,
     _StrategyAPolicy,
     _Streams,
-    _Tables,
     _active_ranks,
     _binomial_cdf_table,
     _binomial_from_u,
@@ -330,11 +329,10 @@ class TestOccupiedPulses:
 
     @pytest.mark.parametrize("mu", [0.02, 0.5, 1.0])
     def test_matches_the_per_photon_reference(self, mu):
-        tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
         streams = _Streams(self.SEED)
         for block, length in [(0, BLOCK), (5, BLOCK), (2**20, 12_345), (7, 1)]:
             streams.halves(_COL_BOB_SPLIT, block, np.ones(3, dtype=np.int8))  # another stream first
-            at, n = _occupied_pulses(streams, block, length, tables)
+            at, n = _occupied_pulses(streams, block, length, mu)
             assert at.dtype == np.intp and n.dtype == np.int8
             assert (at.tolist(), n.tolist()) == _occupied_reference(self.SEED, block, length, mu)
 
@@ -347,28 +345,26 @@ class TestOccupiedPulses:
         """Every photon on pulse 3 of a block of 1.0 BLOCK expected photons:
         one occupied pulse, its count far past int8's range, capped."""
         self._all_on_pulse_3(monkeypatch)
-        tables = _Tables.build(SimConfig(system=make_system(mu=1.0)))
-        at, n = _occupied_pulses(_Streams(1), 0, BLOCK, tables)
+        at, n = _occupied_pulses(_Streams(1), 0, BLOCK, 1.0)
         assert at.tolist() == [3] and n.tolist() == [PHOTON_CAP]
 
     def test_photon_numbers_do_not_depend_on_the_position_gather(self, monkeypatch):
         """A block without a merge skips the gather of its occupied pulses'
         positions; its photon numbers are those of the gathering call, over
         whole and partial blocks and for a count capped past int8."""
-        def both(seed, block, length, tables):
-            _, n = _occupied_pulses(_Streams(seed), block, length, tables)
-            at, n_alone = _occupied_pulses(_Streams(seed), block, length, tables,
+        def both(seed, block, length, mu):
+            _, n = _occupied_pulses(_Streams(seed), block, length, mu)
+            at, n_alone = _occupied_pulses(_Streams(seed), block, length, mu,
                                            positions=False)
             assert at is None and n.dtype == n_alone.dtype == np.int8
             return n.tolist(), n_alone.tolist()
 
         for mu in (0.02, 0.5, 1.0):
-            tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
             for block, length in [(0, BLOCK), (5, BLOCK), (2**20, 12_345), (7, 1)]:
-                n, n_alone = both(self.SEED, block, length, tables)
+                n, n_alone = both(self.SEED, block, length, mu)
                 assert n == n_alone
         self._all_on_pulse_3(monkeypatch)
-        n, n_alone = both(1, 0, BLOCK, _Tables.build(SimConfig(system=make_system(mu=1.0))))
+        n, n_alone = both(1, 0, BLOCK, 1.0)
         assert n == n_alone == [PHOTON_CAP]
 
 
@@ -430,17 +426,17 @@ class TestBranchFreeSelections:
             assert got.tobytes() == np.take(table, part).tobytes()
 
 
-def _one_photon_each(streams, block, length, tables):
+def _one_photon_each(streams, block, length, mu):
     """Planted defect: every occupied pulse carries one photon, so no pulse
     is multiphoton."""
-    at, n = _occupied_pulses(streams, block, length, tables)
+    at, n = _occupied_pulses(streams, block, length, mu)
     return at, np.ones_like(n)
 
 
-def _full_count_over_length(streams, block, length, tables):
+def _full_count_over_length(streams, block, length, mu):
     """Planted defect: a partial block that spreads a whole block's photons
     over its ``length`` pulses, photon on pulse p moved to p length // BLOCK."""
-    at, n = _occupied_pulses(streams, block, BLOCK, tables)
+    at, n = _occupied_pulses(streams, block, BLOCK, mu)
     pulses, merged = np.unique(at * length // BLOCK, return_inverse=True)
     return pulses, np.bincount(merged, weights=n).astype(np.int8)
 
@@ -468,17 +464,16 @@ class TestPhotonStatistics:
     PARTIAL = 12_345
 
     def _holm_rejected(self, mu, length, sample=_occupied_pulses):
-        tables = _Tables.build(SimConfig(system=make_system(mu=mu)))
         counts = np.zeros(4, dtype=np.int64)
         streams = _Streams(2024)
         for block in range(self.BLOCKS):
-            at, n = sample(streams, block, length, tables)
+            at, n = sample(streams, block, length, mu)
             assert at.size == n.size and np.all(n >= 1)
             assert np.all(np.diff(at) > 0) and (at.size == 0 or (at[0] >= 0 and at[-1] < length))
             counts += np.bincount(np.minimum(n, 3), minlength=4)
             counts[0] += length - at.size
-        pmf = poisson_pmf_array(mu, 2)
-        expected = [*pmf, 1.0 - pmf.sum()]
+        pmf = [poisson_pmf(k, mu) for k in range(3)]
+        expected = [*pmf, 1.0 - sum(pmf)]
         trials = self.BLOCKS * length
         assert counts.sum() == trials
         p_values = [binomial_p_value(int(c), trials, e) for c, e in zip(counts, expected)]
@@ -727,10 +722,9 @@ class TestOpticalFlips:
                         seed=self.SEED)
         assert simulate(cfg).sifted > 0
         monkeypatch.undo()
-        tables = _Tables.build(cfg)
         occupied = [
             _occupied_pulses(_Streams(self.SEED), block, min(BLOCK, self.N_PULSES - block * BLOCK),
-                             tables)[0].size
+                             cfg.system.source.mu)[0].size
             for block in range(-(-self.N_PULSES // BLOCK))]
         assert [length for length, _, _ in placed] == occupied
         assert all(p == self.QBER_OPT for _, p, _ in placed)
@@ -816,9 +810,9 @@ class TestStrategyADrawSizes:
         assert policy.blind_prob > 0
         assert simulate(cfg).sifted > 0
         streams = _Streams(6)
-        occupied = _occupied_pulses(streams, 0, BLOCK, _Tables.build(cfg))[0]
+        occupied = _occupied_pulses(streams, 0, BLOCK, cfg.system.source.mu)[0]
         blind = _bernoulli_positions(streams, _COL_EVE_BLIND, 0, BLOCK,
-                                     policy.blind_prob * policy.attack_fraction)
+                                     policy.blind_prob * cfg.attack_fraction)
         darks = [_bernoulli_positions(streams, column, 0, BLOCK, 1e-3)
                  for column in (_COL_DARK_0, _COL_DARK_1)]
         assert 0 < occupied.size < BLOCK // 4
@@ -837,11 +831,10 @@ class TestStrategyADrawSizes:
         cfg = SimConfig(system=make_system(mu=0.2, length=0.0, eta=1.0),
                         eve_model=EveModel.STRATEGY_A, distance_km=0.0, n_pulses=BLOCK,
                         seed=12)
-        policy = _StrategyAPolicy(np.zeros(4), blind_prob=1.0, attack_fraction=1.0)
-        tables = _Tables.build(cfg)
-        occupied = _occupied_pulses(_Streams(12), 0, BLOCK, tables)[0].size
+        policy = _StrategyAPolicy(np.zeros(4), blind_prob=1.0)
+        occupied = _occupied_pulses(_Streams(12), 0, BLOCK, cfg.system.source.mu)[0].size
         assert occupied > 0
-        sim = montecarlo._simulate_block(cfg, policy, tables, _Streams(12), 0)
+        sim = montecarlo._simulate_block(cfg, policy, cfg.system.t_ab(0.0), _Streams(12), 0)
         assert sim.singles == BLOCK - occupied
         assert sim.eve_known == 0
 
@@ -1366,7 +1359,7 @@ class TestValidation:
         system = SystemConfig(
             source=SourceParams(mu=0.1),
             channel=ChannelParams(),
-            detector=DetectorParams(eta_b=0.1, n_gated=4),
+            detector=DetectorParams(eta_b=0.1),
             basis_mode=BasisMode.PASSIVE,
         )
         with pytest.raises(ConfigError):

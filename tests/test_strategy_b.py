@@ -523,7 +523,7 @@ def test_reference_rows_cover_every_branch():
 class TestGammaSweep:
     def test_rows_monotone_and_anchored(self):
         t_e = transmission(0.15 * 60)
-        rows = gamma_sweep(MU, T60, t_e, 0.1, 1e10, n_points=41)
+        rows = gamma_sweep(MU, T60, t_e, 0.1, 1e10)
         assert rows, "sweep produced no feasible points"
         gammas = [r["gamma"] for r in rows]
         assert gammas == sorted(gammas)
@@ -534,6 +534,11 @@ class TestGammaSweep:
         last = rows[-1]
         assert last["gamma"] == 1.0
         assert last["z_score"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_rejects_eves_link_below_the_installed_one(self):
+        """As max_stealth_info does, t_e < t_ab is refused, not swept to no rows."""
+        with pytest.raises(ValueError, match="t_e must be >= t_ab"):
+            gamma_sweep(MU, T60, 0.99 * T60, 0.1, 1e10)
 
     def test_lambda_root_matches_singles(self):
         t_e = transmission(0.15 * 60)
