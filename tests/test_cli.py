@@ -405,8 +405,8 @@ class TestVerifyPulses:
 class TestGoldenOutput:
     """Data rows match the stored copies byte for byte: the shipped defaults,
     the passive branch of ``p_coinc`` on a fractional step, strategy A at
-    another mu and fiber attenuation, and the whole output of ``rates``,
-    ``verify`` and ``montecarlo``."""
+    another mu and fiber attenuation, and the whole output of ``rates`` (also
+    on a fractional step from a nonzero start), ``verify`` and ``montecarlo``."""
 
     @pytest.mark.parametrize("command,golden", [
         ("stats", "stats_default.csv"),
@@ -427,6 +427,11 @@ class TestGoldenOutput:
         assert main(["rates", "--out", str(tmp_path / "rates.csv"),
                      "--set", "sweep.step=10"]) == 0
         assert rates_bundle(tmp_path) == (DATA / "rates_step10.txt").read_bytes()
+
+    def test_fractional_step_rates_files_are_byte_identical(self, tmp_path, capsys):
+        assert main(["rates", "--out", str(tmp_path / "rates.csv"), "--set", "sweep.d_min=2.5",
+                     "--set", "sweep.d_max=61", "--set", "sweep.step=1.3"]) == 0
+        assert rates_bundle(tmp_path) == (DATA / "rates_d2.5_step1.3.txt").read_bytes()
 
     def test_verify_csv_and_stdout_are_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
