@@ -20,7 +20,7 @@ _NAMES = {
         "p_single_linear", "poisson_pmf", "rates", "transmission",
     ),
     "keyrate": (
-        "QberBudget", "RatePoint", "binary_entropy", "curve", "luetkenhaus_rate",
+        "QberBudget", "RateCurve", "binary_entropy", "curve", "luetkenhaus_rate",
         "max_distance", "net_rate", "qber_model",
     ),
     "montecarlo": ("SimConfig", "SimResult", "simulate"),

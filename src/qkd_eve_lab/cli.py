@@ -28,10 +28,6 @@ EXIT_VERIFY = 2
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if value == 0.0:
             return "0"
@@ -71,35 +67,31 @@ def _write_whole(path: Path, lines: list[str]) -> None:
 
 def _csv_lines(
     settings: Settings,
-    columns: list[str],
-    rows: list[tuple],
+    columns: dict[str, object],
     extra_header: dict[str, str] | None = None,
 ) -> list[str]:
+    """The ``#`` header, the column names and one line per row: a 1-D column
+    gives one value per row, a scalar repeats on every row, None stays blank."""
     lines = _header_lines(settings)
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key} = {val}")
     lines.append(",".join(columns))
-    for row in rows:
+    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
+    for row in zip(*(np.broadcast_to(c, shape).tolist() for c in columns.values())):
         lines.append(",".join(_fmt(v) for v in row))
     return lines
 
 
-def _write_csv(
-    out: Path | None,
-    settings: Settings,
-    columns: list[str],
-    rows: list[tuple],
-    extra_header: dict[str, str] | None = None,
-) -> None:
-    _write_lines(out, _csv_lines(settings, columns, rows, extra_header))
-
-
-def _sweep(settings: Settings) -> tuple[float, float, float]:
+def _sweep(settings: Settings) -> np.ndarray:
+    """The distance grid of the ``sweep.*`` keys."""
     d_min, d_max = settings.d_min, settings.d_max
     if not d_max > d_min:
         raise ConfigError(
             f"sweep.d_max: must exceed sweep.d_min = {d_min}, got {d_max}")
-    return d_min, d_max, settings.d_step
+    try:
+        return distance_grid(d_min, d_max, settings.d_step)
+    except ValueError as exc:  # past the bounds check, only the point cap is left
+        raise ConfigError(f"sweep.step: {exc}") from None
 
 
 def _check_strategy_a_mu(settings: Settings) -> None:
@@ -132,47 +124,37 @@ def _attack_from_settings(settings: Settings, distance_km: float) -> BeamsplitAt
 def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
     system = settings.system()
     src, det = system.source, system.detector
-    d = np.asarray(distance_grid(*_sweep(settings)))
+    d = _sweep(settings)
     t = system.t_ab(d)
     rate = core_stats.rates(src, t, det)
-    columns = [
-        d,
-        t,
-        core_stats.poisson_pmf(0, src.mu),
-        core_stats.poisson_pmf(1, src.mu),
-        core_stats.poisson_pmf(2, src.mu),
-        core_stats.multi_photon_fraction(src.mu, "exact"),
-        core_stats.multi_photon_fraction(src.mu, "second_order"),
-        core_stats.p_single(src, t, det),
-        core_stats.p_single_linear(src, t, det),
-        core_stats.p_coinc(src, t, det, system.basis_mode),
-        core_stats.p_coinc(src, t, det, core_stats.BasisMode.ACTIVE, form="approx"),
-        rate.raw_hz,
-        rate.sifted_hz,
-    ]
-    rows = list(zip(*(np.broadcast_to(c, d.shape).tolist() for c in columns)))
-    _write_csv(args.out, settings, [
-        "distance_km", "t_ab", "p0", "p1", "p2",
-        "multiphoton_exact", "multiphoton_second_order",
-        "p_single", "p_single_linear", "p_coinc", "p_coinc_approx",
-        "raw_hz", "sifted_hz",
-    ], rows)
+    _write_lines(args.out, _csv_lines(settings, {
+        "distance_km": d,
+        "t_ab": t,
+        "p0": core_stats.poisson_pmf(0, src.mu),
+        "p1": core_stats.poisson_pmf(1, src.mu),
+        "p2": core_stats.poisson_pmf(2, src.mu),
+        "multiphoton_exact": core_stats.multi_photon_fraction(src.mu, "exact"),
+        "multiphoton_second_order": core_stats.multi_photon_fraction(src.mu, "second_order"),
+        "p_single": core_stats.p_single(src, t, det),
+        "p_single_linear": core_stats.p_single_linear(src, t, det),
+        "p_coinc": core_stats.p_coinc(src, t, det, system.basis_mode),
+        "p_coinc_approx": core_stats.p_coinc(src, t, det, core_stats.BasisMode.ACTIVE,
+                                             form="approx"),
+        "raw_hz": rate.raw_hz,
+        "sifted_hz": rate.sifted_hz,
+    }))
     return EXIT_OK
 
 
 def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
-    d_min, d_max, step = _sweep(settings)
+    d = _sweep(settings)
     _check_strategy_a_mu(settings)
-    rows = strategy_a.regime_curve(settings.mu, settings.alpha_ab, d_min, d_max, step)
     crossover = strategy_a.pure_b_crossover_km(settings.mu, settings.alpha_ab)
-    _write_csv(
-        args.out,
+    _write_lines(args.out, _csv_lines(
         settings,
-        ["distance_km", "ratio", "frac_A", "frac_B", "frac_C", "frac_D",
-         "frac_blind", "deficit"],
-        [tuple(r.values()) for r in rows],
+        strategy_a.regime_curve(settings.mu, settings.alpha_ab, d),
         extra_header={"pure_case_b_crossover_km": f"{crossover:.4f}"},
-    )
+    ))
     print(f"pure case-B regime from {crossover:.1f} km "
           f"(mu={settings.mu}, alpha_ab={settings.alpha_ab} dB/km)")
     return EXIT_OK
@@ -195,18 +177,16 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
     t_e = _eve_t_e(settings, distance)
     if t_e < t_ab:  # only a set eve.t_e can fall below the installed link
         raise ConfigError(f"eve.t_e: must be >= t_ab = {t_ab:.6g}, got {t_e}")
-    rows = strategy_b.gamma_sweep(
+    columns = strategy_b.gamma_sweep(
         settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses),
         mode=system.basis_mode,
     )
     clean = settings.n_pulses * strategy_b.clean_coinc_ref(
         settings.mu, t_ab, settings.eta_b, system.basis_mode
     )
-    _write_csv(
-        args.out,
+    _write_lines(args.out, _csv_lines(
         settings,
-        ["gamma", "expected_coincidences", "z_score", "info"],
-        [tuple(r.values()) for r in rows],
+        columns,
         extra_header={
             "t_ab": _fmt(t_ab),
             "t_e": _fmt(t_e),
@@ -214,20 +194,8 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
             "two_sigma_window": _fmt(2.0 * math.sqrt(clean)),
             "lambda_convention": "solved per gamma on the singles-matched branch",
         },
-    )
+    ))
     return EXIT_OK
-
-
-_RATE_COLUMNS = ["distance_km", "t_ab", "qber_mes", "i_eve", "mu_opt_if_any",
-                 "r_net_normalized"]
-
-
-def _curve_rows(points: list[keyrate.RatePoint]) -> list[tuple]:
-    return [
-        (p.distance_km, p.t_ab, p.qber.qber_mes, p.i_eve, p.mu_opt,
-         p.r_net_normalized)
-        for p in points
-    ]
 
 
 def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
@@ -235,32 +203,38 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
         raise ConfigError("eve.t_e: rates derives t_e at each distance from "
                           "channel.alpha_e and channel.bee_line_d; leave it auto")
     system = settings.system()
-    d_min, d_max, step = _sweep(settings)
+    d = _sweep(settings)
     _check_strategy_a_mu(settings)  # the cutoff table solves strategy A at source.mu
     stem = args.out if args.out is not None else Path("rates.csv")
     # Every file is computed before any is written, so a failed run writes none.
     files: dict[Path, list[str]] = {}
 
-    def add_curve(model: EveModel, mu: float, points: list[keyrate.RatePoint]) -> None:
+    def add_curve(model: EveModel, mu: float, rc: keyrate.RateCurve) -> None:
         path = stem.with_name(f"{stem.stem}_{model.value}_mu{mu:g}{stem.suffix}")
-        files[path] = _csv_lines(settings, _RATE_COLUMNS, _curve_rows(points),
-                                 extra_header={"eve_model": model.value, "mu": f"{mu:g}"})
+        files[path] = _csv_lines(settings, {
+            "distance_km": rc.distance_km,
+            "t_ab": rc.t_ab,
+            "qber_mes": rc.qber.qber_mes,
+            "i_eve": rc.i_eve,
+            "mu_opt_if_any": rc.mu_opt,
+            "r_net_normalized": rc.r_net_normalized,
+        }, extra_header={"eve_model": model.value, "mu": f"{mu:g}"})
 
     # The unlimited model optimises mu, so one curve serves every mu value.
-    unlimited = keyrate.curve(EveModel.UNLIMITED, system, d_min, d_max, step)
+    unlimited = keyrate.curve(EveModel.UNLIMITED, system, d)
     for mu in settings.mu_values:
         for model in (EveModel.NONE, EveModel.STRATEGY_A):
-            add_curve(model, mu, keyrate.curve(model, system.with_mu(mu), d_min, d_max, step))
+            add_curve(model, mu, keyrate.curve(model, system.with_mu(mu), d))
         add_curve(EveModel.UNLIMITED, mu, unlimited)
     for model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
-        add_curve(model, settings.mu, keyrate.curve(model, system, d_min, d_max, step))
+        add_curve(model, settings.mu, keyrate.curve(model, system, d))
 
-    table_rows = [(model.value, settings.mu, keyrate.max_distance(model, system))
-                  for model in EveModel]
-    files[stem] = _csv_lines(settings, ["eve_model", "mu", "max_distance_km"], table_rows)
+    cutoffs = {model.value: keyrate.max_distance(model, system) for model in EveModel}
+    files[stem] = _csv_lines(settings, {"eve_model": list(cutoffs), "mu": settings.mu,
+                                        "max_distance_km": list(cutoffs.values())})
     for path, lines in files.items():
         _write_whole(path, lines)
-    for model, _, d_max_km in table_rows:
+    for model, d_max_km in cutoffs.items():
         label = "unbounded at grid limit" if math.isinf(d_max_km) else f"{d_max_km:.1f} km"
         print(f"max distance {model}: {label}")
     return EXIT_OK

@@ -206,7 +206,7 @@ class Settings:
     d_max: float = _key("sweep.d_max", _parse_float, 200.0, None,
                         "last distance of a sweep, km; above sweep.d_min")
     d_step: float = _key("sweep.step", _parse_float, 1.0, "(0, inf)",
-                         "distance step of a sweep, km")
+                         "distance step of a sweep, km; at most 1,000,000 sweep points")
     mu_values: tuple[float, ...] = _key("rates.mu_values", _parse_mu_list,
                                         (0.05, 0.1, 0.2), "(0, 2)",
                                         "mu of each rates curve, comma-separated")

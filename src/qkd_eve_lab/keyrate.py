@@ -8,9 +8,10 @@ only the excess over the dark-count part (with a configurable floor) is
 attributed to the eavesdropper.
 
 Every formula here is elementwise: distances, and mu where the unlimited
-model optimises it, may be numpy arrays.  One private evaluator over an
-array of distances serves :func:`curve`, :func:`net_rate` (a one-element
-call) and :func:`max_distance`.
+model optimises it, may be numpy arrays.  A rate table is a
+:class:`RateCurve` of columns, one element per distance; one private
+evaluator over an array of distances serves :func:`curve`, :func:`net_rate`
+(a single distance) and :func:`max_distance`.
 """
 from __future__ import annotations
 
@@ -37,15 +38,19 @@ class QberBudget:
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """One distance sample of a rate curve."""
+class RateCurve:
+    """A rate table as columns, one element per distance; ``len`` is its row
+    count.  ``mu_opt`` is None unless the model optimises mu."""
 
-    distance_km: float
-    t_ab: float
+    distance_km: np.ndarray
+    t_ab: np.ndarray
     qber: QberBudget
-    i_eve: float
-    mu_opt: float | None
-    r_net_normalized: float
+    i_eve: np.ndarray
+    mu_opt: np.ndarray | None
+    r_net_normalized: np.ndarray
+
+    def __len__(self) -> int:
+        return np.size(self.distance_km)
 
 
 def binary_entropy(x: float) -> float:
@@ -102,32 +107,24 @@ def eve_information(distance_km: float, eve: EveModel, cfg: SystemConfig) -> np.
     raise ValueError("unlimited model optimizes mu; use luetkenhaus_rate")
 
 
-def _points(distances: list[float], eve: EveModel, cfg: SystemConfig) -> list[RatePoint]:
-    """Rate points at each distance, from one array pass of :func:`_net`."""
-    d = np.asarray(distances, dtype=float)
-    mu = cfg.source.mu
-    mu_opt = [None] * d.size
+def _curve(d: np.ndarray, eve: EveModel, cfg: SystemConfig) -> RateCurve:
+    """Rate table at the distances ``d``, from one array pass of :func:`_net`."""
+    if np.any(d < 0):
+        raise ValueError(f"distance must be >= 0, got {d[d < 0][0]}")
+    mu, mu_opt = cfg.source.mu, None
     if eve is EveModel.UNLIMITED:
-        mu = luetkenhaus_rate(d, cfg)[0]
-        mu_opt = mu.tolist()
+        mu = mu_opt = luetkenhaus_rate(d, cfg)[0]
         i_eve = unlimited_info(mu, d, cfg)
     else:
         i_eve = eve_information(d, eve, cfg)
     budget, r_net = _net(d, mu, i_eve, cfg)
-    columns = zip(d.tolist(), cfg.t_ab(d).tolist(), budget.qber_det.tolist(),
-                  budget.qber_mes.tolist(), budget.qber_attrib.tolist(), i_eve.tolist(),
-                  mu_opt, r_net.tolist())
-    return [
-        RatePoint(dk, t, QberBudget(det, mes, attrib), info, m, r)
-        for dk, t, det, mes, attrib, info, m, r in columns
-    ]
+    return RateCurve(d, cfg.t_ab(d), budget, i_eve, mu_opt, r_net)
 
 
-def net_rate(distance_km: float, eve: EveModel, cfg: SystemConfig) -> RatePoint:
-    """Per-pulse net secret rate at one distance for one eavesdropper model."""
-    if distance_km < 0:
-        raise ValueError(f"distance must be >= 0, got {distance_km}")
-    return _points([distance_km], eve, cfg)[0]
+def net_rate(distance_km: float, eve: EveModel, cfg: SystemConfig) -> RateCurve:
+    """Per-pulse net secret rate at one distance for one eavesdropper model:
+    a one-row :class:`RateCurve` whose columns are scalars."""
+    return _curve(np.asarray(distance_km, dtype=float), eve, cfg)
 
 
 def unlimited_info(mu: float, distance_km: float, cfg: SystemConfig) -> float:
@@ -174,23 +171,18 @@ def max_distance(eve: EveModel, cfg: SystemConfig) -> float:
     when the last one still is ("unbounded at grid limit").
     """
     grid = distance_grid(0.0, _D_LIMIT, 1.0)
-    points = _points(grid, eve, cfg)
-    last = max((i for i, p in enumerate(points) if p.r_net_normalized > 0.0), default=None)
-    if last is None:
+    positive = np.flatnonzero(_curve(grid, eve, cfg).r_net_normalized > 0.0)
+    if positive.size == 0:
         return 0.0
-    if last == len(grid) - 1:
+    last = positive[-1]
+    if last == grid.size - 1:
         return math.inf
     lo, hi = bisect(lambda d: net_rate(d, eve, cfg).r_net_normalized > 0.0,
                     grid[last], grid[last + 1], 5)
     return 0.5 * (lo + hi)
 
 
-def curve(
-    eve: EveModel,
-    cfg: SystemConfig,
-    d_min: float = 0.0,
-    d_max: float = 200.0,
-    step: float = 1.0,
-) -> list[RatePoint]:
-    """Dense table of rate points for plotting; zeros stay exact zeros."""
-    return _points(distance_grid(d_min, d_max, step), eve, cfg)
+def curve(eve: EveModel, cfg: SystemConfig, distances: np.ndarray) -> RateCurve:
+    """Rate table over an array of distances, such as a
+    :func:`~qkd_eve_lab.search.distance_grid`; zeros stay exact zeros."""
+    return _curve(np.asarray(distances, dtype=float), eve, cfg)

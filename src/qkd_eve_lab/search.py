@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_SWEEP_POINTS = 10**6  # the most distances one sweep may hold
 
 
 def bisect(inside: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -59,11 +60,17 @@ def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float) -> np.nd
                   np.where(right, fx, np.where(left, fc, fd)))
 
 
-def distance_grid(d_min: float, d_max: float, step: float) -> list[float]:
-    """Distances d_min + i * step, i = 0..round((d_max - d_min) / step)."""
+def distance_grid(d_min: float, d_max: float, step: float) -> np.ndarray:
+    """Distances d_min + i * step, i = 0..n, n the largest count with
+    n * step <= (d_max - d_min) * (1 + 1e-9); the slack keeps the end of
+    0..0.3 by 0.1, where 0.3 / 0.1 = 2.9999999999999996.  The points are
+    counted first, and more than ``MAX_SWEEP_POINTS`` are rejected."""
     if not 0 <= d_min < d_max < math.inf:
         raise ValueError(f"need finite 0 <= d_min < d_max, got {d_min}, {d_max}")
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    n_steps = int(round((d_max - d_min) / step))
-    return [d_min + i * step for i in range(n_steps + 1)]
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    n_steps = (d_max - d_min) * (1.0 + 1e-9) / step
+    if not n_steps < MAX_SWEEP_POINTS:
+        raise ValueError(f"{step} km steps from {d_min} to {d_max} km give more than "
+                         f"{MAX_SWEEP_POINTS:,} points")
+    return d_min + np.arange(math.floor(n_steps) + 1, dtype=float) * step

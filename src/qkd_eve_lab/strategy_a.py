@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_stats import SECOND_ORDER_MU_LIMIT, to_loss_db, transmission
-from .search import distance_grid
 
 # Error probability of the intermediate state resent for a two-photon
 # detection seen in both bases: sin^2(pi/8).
@@ -187,21 +186,15 @@ def pure_b_crossover_km(mu: float, alpha_ab: float) -> float:
     return to_loss_db(t_star) / alpha_ab
 
 
-def regime_curve(
-    mu: float,
-    alpha_ab: float,
-    d_min: float = 0.0,
-    d_max: float = 120.0,
-    step: float = 1.0,
-) -> list[dict[str, float]]:
-    """Rows (distance, ratio, mix fractions) for the regime plot, from one
-    allocation over the whole distance grid."""
-    d = np.asarray(distance_grid(d_min, d_max, step))
+def regime_curve(mu: float, alpha_ab: float, distances: np.ndarray) -> dict[str, np.ndarray]:
+    """The regime plot's columns at each distance, keyed by their CSV names:
+    distance, information per error, the mix fractions and the deficit flag,
+    from one allocation over the whole array."""
+    d = np.asarray(distances, dtype=float)
     mix = allocate(mu, transmission(alpha_ab * d))
-    columns = {
+    return {
         "distance_km": d,
         "ratio": info_per_error(mix),
         **{f"frac_{label}": mix.fraction(label) for label in (*CASE_LABELS, "blind")},
         "deficit": mix.deficit.astype(float),
     }
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]

@@ -467,8 +467,9 @@ def gamma_sweep(
     eta_b: float,
     n_pulses: float,
     mode: BasisMode = BasisMode.ACTIVE,
-) -> list[dict[str, float]]:
-    """Rows (gamma, expected_coincidences, z_score, info) at gamma = 0, 0.01, ..., 1.
+) -> dict[str, np.ndarray]:
+    """Columns gamma, expected_coincidences, z_score and info, keyed by their
+    CSV names, at gamma = 0, 0.01, ..., 1.
 
     For each gamma the tap fraction is re-solved so the singles stay
     matched (decreasing-branch root); gammas that cannot be matched are
@@ -483,5 +484,4 @@ def gamma_sweep(
     attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
     z = _alarm_z(attacked, n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode))
     info = _credited_info(mu, lam, gamma)
-    return [{"gamma": g, "expected_coincidences": c, "z_score": s, "info": i}
-            for g, c, s, i in zip(gamma.tolist(), attacked.tolist(), z.tolist(), info.tolist())]
+    return {"gamma": gamma, "expected_coincidences": attacked, "z_score": z, "info": info}

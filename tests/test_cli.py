@@ -21,6 +21,7 @@ from qkd_eve_lab.config import (
     parse_config_text,
 )
 from qkd_eve_lab.core_stats import BasisMode, EveModel
+from qkd_eve_lab.search import MAX_SWEEP_POINTS
 
 DATA = Path(__file__).parent / "data"
 # Config overrides of the goldens not taken at the shipped defaults.
@@ -275,6 +276,26 @@ class TestSweepValidation:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sweep,last", [
+        (["sweep.d_max=10", "sweep.step=6"], "6.000000"),
+        (["sweep.step=0.3"], "199.800000"),
+        (["sweep.d_min=0.5", "sweep.d_max=10", "sweep.step=0.3"], "9.800000"),
+    ])
+    def test_no_row_lies_past_d_max(self, sweep, last, tmp_path):
+        out = tmp_path / "stats.csv"
+        assert main(["stats", "--out", str(out), *(a for s in sweep for a in ("--set", s))]) == 0
+        settings = load_settings(overrides=sweep)
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows[-1].split(",")[0] == last
+        assert float(last) <= settings.d_max
+
+    def test_help_states_the_point_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stats", "--help"])
+        step_line = next(l for l in capsys.readouterr().out.splitlines()
+                         if l.startswith("sweep.step "))
+        assert f"at most {MAX_SWEEP_POINTS:,} sweep points" in step_line
 
 
 _NUMERIC_PARSERS = {
@@ -561,6 +582,10 @@ class TestBoundsOnEverySubcommand:
         (["rates", "--set", "eve.t_e=0.5", "--set", "sweep.d_max=10",
           "--set", "rates.mu_values=0.1"], "eve.t_e"),
         (["strategy-b", "--set", "eve.t_e=0.03"], "eve.t_e"),
+        (["stats", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"], "sweep.step"),
+        (["strategy-a", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"],
+         "sweep.step"),
+        (["rates", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"], "sweep.step"),
     ])
     def test_measured_case_names_its_key(self, argv, key, tmp_path):
         _rejected(argv + ["--out", str(tmp_path / "out.csv"),

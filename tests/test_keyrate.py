@@ -290,9 +290,10 @@ class TestMaxDistance:
 class TestCurve:
     def test_zeros_stay_exact(self):
         cfg = make_cfg()
-        points = curve(EveModel.NONE, cfg, 220.0, 260.0, 10.0)
-        tail = [p.r_net_normalized for p in points if p.distance_km >= 240]
-        assert all(r == 0.0 for r in tail)
+        table = curve(EveModel.NONE, cfg, distance_grid(220.0, 260.0, 10.0))
+        assert len(table) == 5
+        tail = table.r_net_normalized[table.distance_km >= 240]
+        assert tail.tolist() == [0.0, 0.0, 0.0]
 
     def test_higher_mu_higher_rate_within_validity(self):
         for model in (EveModel.NONE, EveModel.STRATEGY_A):
@@ -309,18 +310,13 @@ class TestCurve:
         decades = math.log10(r0 / r10)
         assert decades == pytest.approx(0.25, abs=0.01)  # alpha * d / 10
 
-    def test_argument_validation(self):
-        cfg = make_cfg()
-        with pytest.raises(ValueError):
-            curve(EveModel.NONE, cfg, 10.0, 5.0, 1.0)
-        with pytest.raises(ValueError):
-            curve(EveModel.NONE, cfg, 0.0, 10.0, 0.0)
-
     def test_unlimited_points_carry_mu_opt(self):
         cfg = make_cfg()
-        points = curve(EveModel.UNLIMITED, cfg, 10.0, 30.0, 10.0)
-        assert all(p.mu_opt is not None for p in points)
-        assert all(p.mu_opt > 0 for p in points)
+        distances = distance_grid(10.0, 30.0, 10.0)
+        table = curve(EveModel.UNLIMITED, cfg, distances)
+        assert table.mu_opt.shape == (3,)
+        assert (table.mu_opt > 0).all()
+        assert curve(EveModel.NONE, cfg, distances).mu_opt is None
 
     def test_eve_information_dispatch(self):
         cfg = make_cfg()

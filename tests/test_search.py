@@ -6,27 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkd_eve_lab.search import bisect, distance_grid, golden_max
+from qkd_eve_lab.search import MAX_SWEEP_POINTS, bisect, distance_grid, golden_max
 
 
 def _loop_grid(d_min, d_max, step):
-    n_steps = int(round((d_max - d_min) / step))
-    return [d_min + i * step for i in range(n_steps + 1)]
+    """Every d_min + i * step with i * step within the span and its 1e-9 slack."""
+    grid, i = [], 0
+    while i * step <= (d_max - d_min) * (1.0 + 1e-9):
+        grid.append(d_min + i * step)
+        i += 1
+    return grid
 
 
-@pytest.mark.parametrize("d_min,d_max,step", [(0, 200, 1), (0, 120, 5), (0.5, 10, 0.3)])
+@pytest.mark.parametrize("d_min,d_max,step", [
+    (0, 200, 1), (0, 120, 5), (0.5, 10, 0.3), (0, 10, 6), (0, 0.3, 0.1), (2.5, 61, 1.3),
+])
 def test_distance_grid_matches_the_sweep_loop(d_min, d_max, step):
-    assert distance_grid(d_min, d_max, step) == _loop_grid(d_min, d_max, step)
+    grid = distance_grid(d_min, d_max, step)
+    assert grid.dtype == float
+    assert grid.tolist() == _loop_grid(float(d_min), float(d_max), float(step))
+    assert grid[-1] <= d_max * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize(
     "d_min,d_max,step",
     [(0, 10, 0), (0, 10, -1), (0, 10, math.nan), (10, 5, 1), (5, 5, 1),
-     (-1, 5, 1), (0, math.inf, 1), (math.nan, 5, 1)],
+     (-1, 5, 1), (0, math.inf, 1), (math.nan, 5, 1), (0, 10, math.inf),
+     (0, 1e300, 1e-10), (0, 100000, 0.1)],
 )
 def test_distance_grid_rejects_bad_sweeps(d_min, d_max, step):
     with pytest.raises(ValueError):
         distance_grid(d_min, d_max, step)
+
+
+def test_distance_grid_holds_up_to_the_point_cap():
+    assert distance_grid(0.0, 99999.9, 0.1).size == MAX_SWEEP_POINTS
 
 
 def test_bisect_equals_the_hand_written_loop():

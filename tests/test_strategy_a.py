@@ -17,6 +17,7 @@ from qkd_eve_lab.core_stats import (
     p_single,
     transmission,
 )
+from qkd_eve_lab.search import distance_grid
 from qkd_eve_lab.strategy_a import (
     CASE_LABELS,
     GREEDY_ORDER,
@@ -232,17 +233,19 @@ class TestAttributedInfo:
 
 class TestRegimeCurve:
     def test_rows_and_plateau(self):
-        rows = regime_curve(0.1, 0.25, 0.0, 120.0, 5.0)
-        assert len(rows) == 25
-        assert rows[0]["distance_km"] == 0.0
+        columns = regime_curve(0.1, 0.25, distance_grid(0.0, 120.0, 5.0))
+        assert list(columns) == ["distance_km", "ratio", "frac_A", "frac_B", "frac_C",
+                                 "frac_D", "frac_blind", "deficit"]
+        assert {c.shape for c in columns.values()} == {(25,)}
+        assert columns["distance_km"][0] == 0.0
         # beyond the crossover everything rides on class B
-        tail = [r for r in rows if r["distance_km"] >= 70.0]
-        for row in tail:
-            assert row["frac_B"] == pytest.approx(1.0, rel=1e-12)
-            assert row["ratio"] == pytest.approx(RATIO_B, rel=1e-12)
+        tail = columns["distance_km"] >= 70.0
+        assert tail.sum() == 11
+        assert columns["frac_B"][tail] == pytest.approx(1.0, rel=1e-12)
+        assert columns["ratio"][tail] == pytest.approx(RATIO_B, rel=1e-12)
         # short distances are deficit territory, dominated by class A
-        assert rows[0]["deficit"] == 1.0
-        assert rows[0]["frac_A"] > 0.9
+        assert columns["deficit"][0] == 1.0
+        assert columns["frac_A"][0] > 0.9
 
 
 def _reference_allocate(mu: float, t_ab: float) -> dict:
@@ -348,13 +351,14 @@ def allocate_calls(monkeypatch):
 
 class TestOneCallPerArray:
     def test_curve(self, allocate_calls):
-        points = keyrate.curve(EveModel.STRATEGY_A, SystemConfig(), 0.0, 200.0, 1.0)
-        assert len(points) == 201
+        grid = distance_grid(0.0, 200.0, 1.0)
+        table = keyrate.curve(EveModel.STRATEGY_A, SystemConfig(), grid)
+        assert len(table) == 201
         assert allocate_calls == [(201,)]
 
     def test_regime_curve(self, allocate_calls):
-        rows = regime_curve(0.1, 0.25, 0.0, 120.0, 0.5)
-        assert len(rows) == 241
+        columns = regime_curve(0.1, 0.25, distance_grid(0.0, 120.0, 0.5))
+        assert columns["distance_km"].shape == (241,)
         assert allocate_calls == [(241,)]
 
     def test_default_rates_run(self, allocate_calls, tmp_path, capsys):

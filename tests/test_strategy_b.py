@@ -523,17 +523,16 @@ def test_reference_rows_cover_every_branch():
 class TestGammaSweep:
     def test_rows_monotone_and_anchored(self):
         t_e = transmission(0.15 * 60)
-        rows = gamma_sweep(MU, T60, t_e, 0.1, 1e10)
-        assert rows, "sweep produced no feasible points"
-        gammas = [r["gamma"] for r in rows]
-        assert gammas == sorted(gammas)
-        infos = [r["info"] for r in rows]
-        assert all(b <= a + 1e-12 for a, b in zip(infos, infos[1:]))
-        coincs = [r["expected_coincidences"] for r in rows]
-        assert all(b <= a + 1e-9 for a, b in zip(coincs, coincs[1:]))
-        last = rows[-1]
-        assert last["gamma"] == 1.0
-        assert last["z_score"] == pytest.approx(0.0, abs=1e-9)
+        columns = gamma_sweep(MU, T60, t_e, 0.1, 1e10)
+        assert list(columns) == ["gamma", "expected_coincidences", "z_score", "info"]
+        gammas = columns["gamma"]
+        assert gammas.size, "sweep produced no feasible points"
+        assert {c.shape for c in columns.values()} == {gammas.shape}
+        assert (np.diff(gammas) > 0).all()
+        assert (np.diff(columns["info"]) <= 1e-12).all()
+        assert (np.diff(columns["expected_coincidences"]) <= 1e-9).all()
+        assert gammas[-1] == 1.0
+        assert columns["z_score"][-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_eves_link_below_the_installed_one(self):
         """As max_stealth_info does, t_e < t_ab is refused, not swept to no rows."""
