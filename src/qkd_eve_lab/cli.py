@@ -149,6 +149,9 @@ def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
 def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
     d = _sweep(settings)
     _check_strategy_a_mu(settings)
+    if not settings.alpha_ab > 0:
+        raise ConfigError(f"channel.alpha_ab: strategy A's crossover needs a lossy "
+                          f"fiber, got {settings.alpha_ab}")
     crossover = strategy_a.pure_b_crossover_km(settings.mu, settings.alpha_ab)
     _write_lines(args.out, _csv_lines(
         settings,

@@ -1,9 +1,9 @@
 """Pulse-level simulation of the Alice-channel-Eve-Bob chain.
 
-This is the independent cross-check for every closed-form expression in the
-package: photons are drawn per pulse, split, blocked, lost, and detected,
-and tallied.  :mod:`qkd_eve_lab.verify` holds the oracle cases and judges
-their tallies against the analytic expectations.
+Photons are drawn per pulse, split, blocked, lost, detected and tallied.
+This is the independent cross-check of the analytic layer: the module
+docstring of :mod:`qkd_eve_lab.verify` lists the closed form that each of
+its oracle cases holds these tallies to.
 
 Determinism contract: every random decision comes from a counter-based
 Philox stream keyed by (seed, column, block), where a block is ``BLOCK``

@@ -1,34 +1,46 @@
 """Analytic-versus-simulation oracle: its cases and its verdict.
 
-Each case builds one simulation configuration whose closed-form
-expectations are known; the suite runs the pulse-level model and compares
-every tallied quantity with its prediction.  Optical error and dark counts
-are switched off except where they are the quantity under test, so each
-check isolates one mechanism.
+``_CASES`` declares seven simulation configurations.  The suite runs the
+pulse-level model on each and holds every tally to the analytic layer's
+function for it, so a defect there fails the verdict:
+
+- no eavesdropper: ``core_stats.p_single``, with dark counts as 1 - (1 -
+  p_single)(1 - p_dark)^n, n = ``BasisMode.n_gated``; ``core_stats.p_coinc``;
+  and half of ``p_single`` as the sifted fraction;
+- strategy A: ``strategy_a.allocate``'s ``required_rate`` times eta_b, with
+  ``INTERMEDIATE_STATE_QBER`` and 1 as the QBER and the eavesdropper's
+  fraction in its pure class-B regime;
+- strategy B: ``strategy_b.model_click_probs`` and ``sifted_info_model``;
+- every other QBER: ``keyrate.qber_model``'s ``qber_mes``.
+
+Optical error and dark counts are switched off except where they are the
+quantity under test, so each check isolates one mechanism.
 
 What decides the verdict, and so the exit code of ``verify``, is
 ``Report.family_pass``: Holm's step-down procedure over the exact binomial
 p-values of all checks at family-wise level ``FAMILY_ALPHA`` = 2.7e-3, the
 two-sided 3-sigma tail.  A correct model therefore fails a run with
-probability at most 0.27%, whatever the dependence between checks.  The
-worst check fails the family once its p-value is below 2.7e-3 / 23, about
-|z| = 3.85.  Each check's own |z| <= 3 verdict, ``Report.all_pass``, is
-still reported, for information only: over 23 checks that rule alone would
-fail a correct model in about 6% of runs.
+probability at most 0.27%, whatever the dependence between checks, once
+every check has trials: a tally with none gets p = 0, and at the 1e4-pulse
+floor three checks can have none.  The worst check fails the family once
+its p-value is below 2.7e-3 / 23, about |z| = 3.85.  Each check's own
+|z| <= 3 verdict, ``Report.all_pass``, is still reported, for information
+only: over 23 checks that rule alone would fail a correct model in about 6%
+of runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import montecarlo
+from . import core_stats, montecarlo
 from .config import ConfigError, SystemConfig
-from .core_stats import ChannelParams, DetectorParams, SourceParams
-from .keyrate import EveModel
+from .core_stats import ChannelParams, DetectorParams, EveModel, SourceParams
+from .keyrate import qber_model
 from .montecarlo import SimConfig, SimResult
-from .strategy_a import INTERMEDIATE_STATE_QBER
+from .strategy_a import INTERMEDIATE_STATE_QBER, allocate
 from .strategy_b import (
     BeamsplitAttack,
     model_click_probs,
@@ -272,21 +284,6 @@ def compare(name: str, sim: SimResult, expectations: dict[str, float]) -> Report
     return report
 
 
-def _system(
-    mu: float = 0.1,
-    length: float = 60.0,
-    eta: float = 0.1,
-    p_dark: float = 0.0,
-    qber_opt: float = 0.0,
-) -> SystemConfig:
-    return SystemConfig(
-        source=SourceParams(mu=mu),
-        channel=ChannelParams(alpha_ab=0.25, length_ab=max(length, 1e-9)),
-        detector=DetectorParams(eta_b=eta, p_dark=p_dark),
-        qber_opt=qber_opt,
-    )
-
-
 @dataclass(frozen=True)
 class OracleCase:
     """One simulation run and the closed forms its tallies are held to."""
@@ -296,121 +293,75 @@ class OracleCase:
     expected: dict[str, float]
 
 
-def _clean_channel_cases() -> list[OracleCase]:
-    cases = []
-
-    system = _system(qber_opt=0.005)
-    t = system.t_ab(60.0)
-    x = 0.1 * t * 0.1
-    cases.append(OracleCase(
-        "clean_60km",
-        SimConfig(system=system, eve_model=EveModel.NONE, distance_km=60.0),
-        {
-            "p_single": -math.expm1(-x),
-            "p_coinc": 0.5 * math.expm1(-x / 2.0) ** 2,
-            "sifted_fraction": -math.expm1(-x) / 2.0,
-            "qber": 0.005,
-        },
-    ))
-
-    system = _system(length=1e-9, eta=1.0)
-    cases.append(OracleCase(
-        "zero_length_perfect_detector",
-        SimConfig(system=system, eve_model=EveModel.NONE, distance_km=0.0),
-        {
-            "p_single": -math.expm1(-0.1),
-            "sifted_fraction": -math.expm1(-0.1) / 2.0,
-            "qber": 0.0,
-        },
-    ))
-
-    system = _system(p_dark=1e-6)
-    ps = -math.expm1(-x)
-    dark = 2 * 1e-6
-    cases.append(OracleCase(
-        "dark_counts_60km",
-        SimConfig(system=system, eve_model=EveModel.NONE, distance_km=60.0),
-        {
-            "p_single": 1.0 - (1.0 - ps) * (1.0 - 1e-6) ** 2,
-            "qber": (dark / 2.0) / (ps + dark),
-        },
-    ))
-    return cases
+def _stealthy(lam: float, t_e: float, system: SystemConfig, distance: float) -> BeamsplitAttack:
+    """A beamsplitter attack whose shutter keeps Bob's singles at the clean rate."""
+    gamma = solve_gamma(system.source.mu, system.t_ab(distance), lam, t_e)
+    return BeamsplitAttack(lam=lam, gamma=gamma, t_e=t_e)
 
 
-def _strategy_a_cases() -> list[OracleCase]:
+# Every oracle case, in report order, at mu = 0.1 over 0.25 dB/km fiber: name,
+# distance in km, eta_b, p_dark, qber_opt, eavesdropper, the builder of its
+# beamsplitter attack from the link and the distance, and the checked quantities.
+_CASES = (
+    ("clean_60km", 60.0, 0.1, 0.0, 0.005, EveModel.NONE, None,
+     ("p_single", "p_coinc", "sifted_fraction", "qber")),
+    ("zero_length_perfect_detector", 0.0, 1.0, 0.0, 0.0, EveModel.NONE, None,
+     ("p_single", "sifted_fraction", "qber")),
+    ("dark_counts_60km", 60.0, 0.1, 1e-6, 0.0, EveModel.NONE, None, ("p_single", "qber")),
     # 80 km sits well inside the pure class-B regime (threshold ~65 km).
-    system = _system(length=80.0)
-    t = system.t_ab(80.0)
-    return [OracleCase(
-        "strategy_a_pure_b_80km",
-        SimConfig(system=system, eve_model=EveModel.STRATEGY_A, distance_km=80.0),
-        {
-            "p_single": 0.1 * t * 0.1,
-            "qber": INTERMEDIATE_STATE_QBER,
-            "eve_fraction": 1.0,
-        },
-    )]
-
-
-def _strategy_b_cases() -> list[OracleCase]:
-    cases = []
-    mu, eta = 0.1, 0.1
-
+    ("strategy_a_pure_b_80km", 80.0, 0.1, 0.0, 0.0, EveModel.STRATEGY_A, None,
+     ("p_single", "qber", "eve_fraction")),
     # Pure beam splitting: statistics identical to the clean channel.
-    system = _system(qber_opt=0.005)
-    t_ab = system.t_ab(60.0)
-    attack = BeamsplitAttack(lam=0.5, gamma=1.0, t_e=2.0 * t_ab)
-    x = mu * t_ab * eta
-    cases.append(OracleCase(
-        "strategy_b_pure_bsa_60km",
-        SimConfig(system=system, eve_model=EveModel.STRATEGY_B, attack=attack,
-                  distance_km=60.0),
-        {
-            "p_single": -math.expm1(-x),
-            "p_coinc": 0.5 * math.expm1(-x / 2.0) ** 2,
-            "qber": 0.005,
-            "eve_fraction": sifted_info_model(attack, mu),
-        },
-    ))
-
-    # Mild shutter at 20 km with the straight-line gain of 2 dB.
-    system = _system(length=20.0, qber_opt=0.005)
-    t_ab = system.t_ab(20.0)
-    t_e = 10.0 ** (-0.15 * 20.0 / 10.0)
-    gamma = solve_gamma(mu, t_ab, 0.2, t_e)
-    attack = BeamsplitAttack(lam=0.2, gamma=gamma, t_e=t_e)
-    p_click, p_coinc = model_click_probs(attack, mu, eta)
-    cases.append(OracleCase(
-        "strategy_b_shutter_20km",
-        SimConfig(system=system, eve_model=EveModel.STRATEGY_B, attack=attack,
-                  distance_km=20.0),
-        {
-            "p_single": p_click,
-            "p_coinc": p_coinc,
-            "qber": 0.005,
-            "eve_fraction": sifted_info_model(attack, mu),
-        },
-    ))
-
+    ("strategy_b_pure_bsa_60km", 60.0, 0.1, 0.0, 0.005, EveModel.STRATEGY_B,
+     lambda system, d: BeamsplitAttack(lam=0.5, gamma=1.0, t_e=2.0 * system.t_ab(d)),
+     ("p_single", "p_coinc", "qber", "eve_fraction")),
+    # Mild shutter at 20 km over the straight-line replacement link (2 dB gain).
+    ("strategy_b_shutter_20km", 20.0, 0.1, 0.0, 0.005, EveModel.STRATEGY_B,
+     lambda system, d: _stealthy(0.2, system.eve_t_e(d), system, d),
+     ("p_single", "p_coinc", "qber", "eve_fraction")),
     # Aggressive blocking at 80 km over a lossy-but-better replacement link.
-    system = _system(length=80.0)
-    t_ab = system.t_ab(80.0)
-    t_e = 0.5
-    gamma = solve_gamma(mu, t_ab, 0.8, t_e)
-    attack = BeamsplitAttack(lam=0.8, gamma=gamma, t_e=t_e)
-    p_click, p_coinc = model_click_probs(attack, mu, eta)
-    cases.append(OracleCase(
-        "strategy_b_blocking_80km",
-        SimConfig(system=system, eve_model=EveModel.STRATEGY_B, attack=attack,
-                  distance_km=80.0),
-        {
-            "p_single": p_click,
-            "qber": 0.0,
-            "eve_fraction": sifted_info_model(attack, mu),
+    ("strategy_b_blocking_80km", 80.0, 0.1, 0.0, 0.0, EveModel.STRATEGY_B,
+     lambda system, d: _stealthy(0.8, 0.5, system, d),
+     ("p_single", "qber", "eve_fraction")),
+)
+
+
+def _expectations(sim: SimConfig, quantities: tuple[str, ...]) -> dict[str, float]:
+    """Each checked quantity of ``sim`` from the analytic layer, as the module
+    docstring lists; a quantity the case does not check is not computed."""
+    system, d = sim.system, sim.distance
+    src, det, t_ab = system.source, system.detector, system.t_ab(d)
+    mu, attack = src.mu, sim.attack
+
+    def singles():
+        ps = core_stats.p_single(src, t_ab, det)
+        if det.p_dark == 0.0:  # exact, where 1 - (1 - ps) would round
+            return ps
+        return 1.0 - (1.0 - ps) * (1.0 - det.p_dark) ** system.basis_mode.n_gated
+
+    def qber():
+        return qber_model(d, system).qber_mes
+
+    forms = {
+        EveModel.NONE: {
+            "p_single": singles,
+            "p_coinc": lambda: core_stats.p_coinc(src, t_ab, det),
+            "sifted_fraction": lambda: core_stats.p_single(src, t_ab, det) / 2.0,
+            "qber": qber,
         },
-    ))
-    return cases
+        EveModel.STRATEGY_A: {
+            "p_single": lambda: allocate(mu, t_ab).required_rate * det.eta_b,
+            "qber": lambda: INTERMEDIATE_STATE_QBER,
+            "eve_fraction": lambda: 1.0,
+        },
+        EveModel.STRATEGY_B: {
+            "p_single": lambda: model_click_probs(attack, mu, det.eta_b)[0],
+            "p_coinc": lambda: model_click_probs(attack, mu, det.eta_b)[1],
+            "qber": qber,
+            "eve_fraction": lambda: sifted_info_model(attack, mu),
+        },
+    }[sim.eve_model]
+    return {q: float(forms[q]()) for q in quantities}
 
 
 def oracle_cases(
@@ -424,12 +375,20 @@ def oracle_cases(
     if n_pulses < 10**4:
         raise ConfigError(f"sim.pulses: the oracle suite needs at least 1e4 pulses, "
                           f"got {n_pulses}")
-    cases = _clean_channel_cases() + _strategy_a_cases() + _strategy_b_cases()
-    return [
-        replace(case, sim=replace(case.sim, n_pulses=n_pulses, seed=seed + i,
-                                  workers=workers, batch_size=batch_size))
-        for i, case in enumerate(cases)
-    ]
+    cases = []
+    for i, (name, d, eta_b, p_dark, qber_opt, eve, attack, quantities) in enumerate(_CASES):
+        system = SystemConfig(
+            source=SourceParams(mu=0.1),
+            channel=ChannelParams(alpha_ab=0.25, length_ab=d),
+            detector=DetectorParams(eta_b=eta_b, p_dark=p_dark),
+            qber_opt=qber_opt,
+        )
+        sim = SimConfig(system=system, eve_model=eve,
+                        attack=attack(system, d) if attack else None, distance_km=d,
+                        n_pulses=n_pulses, seed=seed + i, workers=workers,
+                        batch_size=batch_size)
+        cases.append(OracleCase(name, sim, _expectations(sim, quantities)))
+    return cases
 
 
 def oracle_suite(

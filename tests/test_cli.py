@@ -586,6 +586,8 @@ class TestBoundsOnEverySubcommand:
         (["strategy-a", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"],
          "sweep.step"),
         (["rates", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"], "sweep.step"),
+        (["strategy-a", "--set", "channel.alpha_ab=0", "--set", "channel.alpha_e=0"],
+         "channel.alpha_ab"),
     ])
     def test_measured_case_names_its_key(self, argv, key, tmp_path):
         _rejected(argv + ["--out", str(tmp_path / "out.csv"),

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from qkd_eve_lab import montecarlo
+from qkd_eve_lab import core_stats, montecarlo
 from qkd_eve_lab.config import ConfigError, SystemConfig
 from qkd_eve_lab.core_stats import (
     BasisMode,
@@ -1613,7 +1613,8 @@ class TestNegativeControls:
     """The family verdict keeps the power to catch planted mistakes at the
     criterion-7 budget: tallies sit exactly on the true closed forms at the
     seed-42 1e8-pulse trial counts, and one expectation is swapped for a
-    planted mistake."""
+    planted mistake, or a mistake is planted in the analytic function that
+    ``oracle_cases`` reads it from."""
 
     @staticmethod
     def _true_tallies():
@@ -1638,3 +1639,26 @@ class TestNegativeControls:
         report = _oracle_report(self._true_tallies(), {(name, quantity): planted})
         assert not report.family_pass
         assert f"{name}/{quantity}" in [c.label for c in report.holm_rejected]
+
+
+    @staticmethod
+    def _expected(name, quantity):
+        case = next(c for c in oracle_cases(n_pulses=10**8, seed=42) if c.name == name)
+        return case.expected[quantity]
+
+    def test_planted_four_gated_detectors_fail_the_family(self, monkeypatch):
+        # the passive count of gated detectors in the active dark-count budget
+        tallies = self._true_tallies()
+        assert self._expected("dark_counts_60km", "qber") == pytest.approx(0.003143, abs=5e-7)
+        monkeypatch.setattr(BasisMode, "n_gated", property(lambda mode: 4))
+        assert self._expected("dark_counts_60km", "qber") == pytest.approx(0.006247, abs=5e-7)
+        rejected = {c.label: c for c in _oracle_report(tallies).holm_rejected}
+        assert rejected["dark_counts_60km/qber"].z == pytest.approx(-5.0, abs=0.3)
+
+    def test_planted_singles_defect_fails_the_family(self, monkeypatch):
+        tallies = self._true_tallies()
+        p_single = core_stats.p_single
+        monkeypatch.setattr(core_stats, "p_single", lambda *args: 1.1 * p_single(*args))
+        report = _oracle_report(tallies)
+        assert not report.family_pass
+        assert "clean_60km/p_single" in [c.label for c in report.holm_rejected]
