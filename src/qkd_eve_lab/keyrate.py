@@ -11,7 +11,8 @@ Every formula here is elementwise: distances, and mu where the unlimited
 model optimises it, may be numpy arrays.  A rate table is a
 :class:`RateCurve` of columns, one element per distance; one private
 evaluator over an array of distances serves :func:`curve`, :func:`net_rate`
-(a single distance) and :func:`max_distance`.
+(a single distance) and both passes of :func:`max_distance`, which returns
+the last positive point of its scan rather than a bisected crossing.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import strategy_a, strategy_b
 from .config import SystemConfig
 from .core_stats import EveModel, p_single
-from .search import bisect, distance_grid, golden_max
+from .search import distance_grid, golden_max
 
 _D_LIMIT = 500.0  # km, the farthest distance max_distance searches
 
@@ -164,11 +165,12 @@ def luetkenhaus_rate(distance_km: float, cfg: SystemConfig) -> tuple[np.ndarray,
 def max_distance(eve: EveModel, cfg: SystemConfig) -> float:
     """Largest distance with a positive net rate, to 1/64 km.
 
-    One array pass gives the rate on the 1 km grid 0..500 km.  The last
-    positive grid point and the one after it bracket the cutoff, and five
-    halvings with :func:`net_rate` leave a 1/32 km bracket, whose midpoint
-    is returned.  Returns 0.0 when no grid point is positive and infinity
-    when the last one still is ("unbounded at grid limit").
+    One array pass gives the rate on the 1 km grid 0..500 km, and a second
+    the 33 points at 1/32 km from its last positive point to the next; the
+    midpoint of the step after the last positive one is returned, since the
+    sign can flip more than once in that kilometre and bisection would find
+    some crossing, not the last.  Returns 0.0 when no grid point is positive
+    and infinity when the last one still is ("unbounded at grid limit").
     """
     grid = distance_grid(0.0, _D_LIMIT, 1.0)
     positive = np.flatnonzero(_curve(grid, eve, cfg).r_net_normalized > 0.0)
@@ -177,9 +179,9 @@ def max_distance(eve: EveModel, cfg: SystemConfig) -> float:
     last = positive[-1]
     if last == grid.size - 1:
         return math.inf
-    lo, hi = bisect(lambda d: net_rate(d, eve, cfg).r_net_normalized > 0.0,
-                    grid[last], grid[last + 1], 5)
-    return 0.5 * (lo + hi)
+    fine = grid[last] + np.arange(33) / 32.0
+    positive = np.flatnonzero(_curve(fine, eve, cfg).r_net_normalized > 0.0)
+    return fine[positive[-1]] + 1.0 / 64.0
 
 
 def curve(eve: EveModel, cfg: SystemConfig, distances: np.ndarray) -> RateCurve:

@@ -319,12 +319,12 @@ class SimConfig:
                 f"source.mu: must be <= 1 to simulate, where photon numbers above "
                 f"PHOTON_CAP = {PHOTON_CAP} are negligible, got {self.system.source.mu}")
         if self.system.basis_mode is not BasisMode.ACTIVE:
-            raise ConfigError("the simulation models active basis choice only")
+            raise ConfigError("protocol.basis_mode: the simulation models active choice only")
         if self.eve_model in (EveModel.STRATEGY_B, EveModel.STRATEGY_B_STORAGE):
             if self.attack is None:
                 raise ConfigError("strategy-b simulation needs attack parameters")
         if self.eve_model is EveModel.UNLIMITED:
-            raise ConfigError("the unlimited model is analytic only; nothing to simulate")
+            raise ConfigError("eve.model: unlimited is analytic only; nothing to simulate")
         if self.eve_model is EveModel.STRATEGY_A:
             if not 0 <= self.attack_fraction <= 1:
                 raise ConfigError(

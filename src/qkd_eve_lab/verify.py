@@ -375,6 +375,9 @@ def oracle_cases(
     if n_pulses < 10**4:
         raise ConfigError(f"sim.pulses: the oracle suite needs at least 1e4 pulses, "
                           f"got {n_pulses}")
+    if seed + len(_CASES) > 2**128:
+        raise ConfigError(f"sim.seed: the oracle's {len(_CASES)} cases use seeds seed.."
+                          f"seed + {len(_CASES) - 1}, all below 2**128, got {seed}")
     cases = []
     for i, (name, d, eta_b, p_dark, qber_opt, eve, attack, quantities) in enumerate(_CASES):
         system = SystemConfig(

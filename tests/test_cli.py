@@ -588,6 +588,9 @@ class TestBoundsOnEverySubcommand:
         (["rates", "--set", "sweep.d_max=1e300", "--set", "sweep.step=1e-10"], "sweep.step"),
         (["strategy-a", "--set", "channel.alpha_ab=0", "--set", "channel.alpha_e=0"],
          "channel.alpha_ab"),
+        (["montecarlo", "--set", "eve.model=unlimited"], "eve.model"),
+        (["montecarlo", "--set", "protocol.basis_mode=passive"], "protocol.basis_mode"),
+        (["verify", "--seed", str(2**128 - 6)], "sim.seed"),  # the cases use seed..seed + 6
     ])
     def test_measured_case_names_its_key(self, argv, key, tmp_path):
         _rejected(argv + ["--out", str(tmp_path / "out.csv"),

@@ -287,6 +287,43 @@ class TestMaxDistance:
         assert math.isinf(max_distance(EveModel.NONE, cfg))
 
 
+def fine_scan_max_distance(eve, cfg):
+    """Reference cutoff: the 1 km array scan, then a scalar loop over the 33
+    points of its last bracket at 1/32 km, and the last positive point
+    + 1/64 km."""
+    grid = distance_grid(0.0, 500.0, 1.0)
+    positive = np.flatnonzero(curve(eve, cfg, grid).r_net_normalized > 0.0)
+    if positive.size == 0:
+        return 0.0
+    if positive[-1] == grid.size - 1:
+        return math.inf
+    fine = [grid[positive[-1]] + k / 32 for k in range(33)]
+    return max(d for d in fine if net_rate(d, eve, cfg).r_net_normalized > 0.0) + 1 / 64
+
+
+# A config whose strategy-B rate changes sign more than once in its last km.
+FLICKER = ["source.mu=1.5", "keyrate.f_ec=1.1", "detector.p_dark=1e-4",
+           "detector.eta_b=0.3", "qber.optical=0.05", "qber.attrib_floor=0",
+           "sim.pulses=1e8", "channel.alpha_ab=0.35", "channel.alpha_e=0.15",
+           "channel.monitor_tof=true"]
+
+
+class TestCutoffContract:
+    @pytest.mark.parametrize("eve", list(EveModel))
+    @pytest.mark.parametrize("overrides", [
+        [], ["keyrate.f_ec=1.25"], ["protocol.basis_mode=passive"], FLICKER,
+    ], ids=["defaults", "f_ec", "passive", "flicker"])
+    @pytest.mark.filterwarnings("ignore:case probabilities are second-order")
+    def test_last_positive_point_of_the_fine_scan(self, eve, overrides):
+        cfg = load_settings(overrides=overrides).system()
+        assert max_distance(eve, cfg) == fine_scan_max_distance(eve, cfg)
+
+    def test_a_later_positive_run_is_not_skipped(self):
+        cfg = load_settings(overrides=FLICKER).system()
+        assert net_rate(68.75, EveModel.STRATEGY_B, cfg).r_net_normalized > 0.0
+        assert max_distance(EveModel.STRATEGY_B, cfg) == 68.765625
+
+
 class TestCurve:
     def test_zeros_stay_exact(self):
         cfg = make_cfg()

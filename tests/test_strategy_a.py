@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkd_eve_lab import keyrate, strategy_a
+from qkd_eve_lab import keyrate, strategy_a, strategy_b
 from qkd_eve_lab.cli import main
 from qkd_eve_lab.config import SystemConfig
 from qkd_eve_lab.core_stats import (
@@ -361,8 +361,16 @@ class TestOneCallPerArray:
         assert columns["distance_km"].shape == (241,)
         assert allocate_calls == [(241,)]
 
-    def test_default_rates_run(self, allocate_calls, tmp_path, capsys):
+    def test_default_rates_run(self, allocate_calls, monkeypatch, tmp_path, capsys):
         # Three mu values, one curve each, and one max_distance: a grid pass
-        # and five halvings.
+        # and a pass over its last bracket.  Strategy B and B-storage each
+        # take one stealth solve per curve and per pass, and no scalar rate.
+        counts = {"max_stealth_info": 0, "net_rate": 0}
+        for module, name in ((strategy_b, "max_stealth_info"), (keyrate, "net_rate")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
         assert main(["rates", "--out", str(tmp_path / "rates.csv")]) == 0
-        assert len(allocate_calls) == 9
+        assert len(allocate_calls) == 5
+        assert counts == {"max_stealth_info": 6, "net_rate": 0}
