@@ -262,7 +262,6 @@ def _cmd_montecarlo(settings: Settings, args: argparse.Namespace) -> int:
         attack_fraction=settings.attack_fraction,
         n_pulses=settings.n_pulses,
         seed=settings.seed,
-        batch_size=settings.batch_size,
         workers=settings.workers,
     )
     result = simulate(sim_cfg)
@@ -279,7 +278,6 @@ def _cmd_verify(settings: Settings, args: argparse.Namespace) -> int:
         n_pulses=settings.n_pulses,
         seed=settings.seed,
         workers=settings.workers,
-        batch_size=settings.batch_size,
     )
     for line in report.lines():
         print(line)

@@ -195,12 +195,9 @@ class Settings:
     n_pulses: int = _key("sim.pulses", _parse_int, 10**10, "[1, inf)",
                          "pulses simulated; also Eve's alarm window")
     seed: int = _key("sim.seed", _parse_int, 42, "[0, 2**128)", "simulation seed")
-    batch_size: int = _key("sim.batch_size", _parse_int, 2**20, "[1, inf)",
-                           "pulses per batch, rounded up to whole 2^16-pulse blocks; "
-                           "changes no result")
     workers: int = _key("sim.workers", _parse_int, 1, "[1, inf)",
-                        "worker processes, each given one contiguous run of whole "
-                        "batches; change no result")
+                        "worker processes, at most one per 2^20 pulses; change no "
+                        "result")
     d_min: float = _key("sweep.d_min", _parse_float, 0.0, "[0, inf)",
                         "first distance of a sweep, km")
     d_max: float = _key("sweep.d_max", _parse_float, 200.0, None,
@@ -255,14 +252,15 @@ class Settings:
     def as_pairs(self) -> dict[str, str]:
         """Effective configuration as the flat key=value mapping (sorted).
 
-        Pure execution knobs (worker count, batch size) are omitted: they
-        cannot change any result, and output files must stay byte-identical
-        across them.
+        The worker count is omitted: it cannot change any result, and output
+        files must stay byte-identical across it.  It only sets how many
+        processes share the pulses, at most one per 2^20, since starting one
+        costs about what 2^20 pulses of work take.
         """
         return {
             key: _render(getattr(self, attr))
             for key, (attr, _) in sorted(_KEY_SPEC.items())
-            if key not in ("sim.workers", "sim.batch_size")
+            if key != "sim.workers"
         }
 
 

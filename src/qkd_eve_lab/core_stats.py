@@ -230,13 +230,13 @@ def p_coinc(
     to P(2) ~ mu^2/2, i.e. (5/16) mu^2 t^2 eta^2.
     """
     _check_t(t)
+    if form not in ("exact", "approx"):
+        raise ValueError(f"form must be 'exact' or 'approx', got {form!r}")
     if mode is BasisMode.PASSIVE:
         return 0.625 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
     if form == "exact":
         return 0.5 * np.expm1(-(src.mu / 2.0) * t * det.eta_b) ** 2
-    if form == "approx":
-        return 0.25 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
-    raise ValueError(f"form must be 'exact' or 'approx', got {form!r}")
+    return 0.25 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ its oracle cases holds these tallies to.
 Determinism contract: every random decision comes from a counter-based
 Philox stream keyed by (seed, column, block), where a block is ``BLOCK``
 pulses and a column (a ``_COL_*`` id) is one kind of decision, so a run is
-bit-for-bit reproducible regardless of batch size or worker count.  No
+bit-for-bit reproducible regardless of how its blocks are shared out.  No
 stream is per pulse: cost scales with the pulses that carry light or click.
 
 * A block's photons are one Poisson(mu * ``BLOCK``) count T, drawn by
@@ -72,11 +72,11 @@ stream is per pulse: cost scales with the pulses that carry light or click.
   arrays, indexed by intp copies of the codes (``_lookup``).  Each gives
   the same bits as the selection it replaces, so the tallies do not
   depend on the form.
-* ``batch_size`` is rounded up to whole blocks, so a chunk of work is a run
-  of whole blocks; only the last block of a run may be partial.  The chunks
-  are split into w = min(workers, chunks) contiguous runs of near-equal
-  chunk counts, and a worker receives one run: one process per run, started
-  for the call and joined before it returns, or this process when w = 1.
+* The b blocks of n pulses form w = max(1, min(workers, b, n // batch_size))
+  contiguous runs of near-equal whole-block counts, one per worker process,
+  started for the call and joined before it returns, or this process when
+  w = 1.  Starting a process costs about what 2^20 pulses of work take, so
+  ``batch_size`` (2^20 by default) is the fewest pulses worth one.
 * Streams are repositioned, not rebuilt.  A run holds one Philox
   generator and, for each draw, resets its counter to (0, block, column, 1),
   which gives the draws of a stream built afresh at that counter (Salmon et
@@ -280,10 +280,10 @@ def _binomial_from_u(
 class SimConfig:
     """One simulation run: system, eavesdropper, size, and seeding.
 
-    ``batch_size`` and ``workers`` cannot change the tallies: the pulses are
-    cut into chunks of ``batch_size`` rounded up to a multiple of ``BLOCK``,
-    and each of min(``workers``, chunks) worker processes receives one
-    contiguous run of whole chunks.
+    ``workers`` and ``batch_size`` cannot change the tallies; they set how
+    many processes share the blocks (see :func:`simulate`).  ``batch_size``
+    is the fewest pulses worth one worker process, since starting one costs
+    about what 2^20 pulses of work take.
     """
 
     system: SystemConfig
@@ -483,12 +483,6 @@ def _active_ranks(length: int, *sets: np.ndarray) -> tuple[int, list[np.ndarray]
     return active.size, [rank[at] for at in sets]
 
 
-def _chunk_ranges(n_pulses: int, batch_size: int) -> list[tuple[int, int]]:
-    """Runs of whole blocks, ``batch_size`` rounded up to a multiple of BLOCK."""
-    batch = -(-batch_size // BLOCK) * BLOCK
-    return [(s, min(s + batch, n_pulses)) for s in range(0, n_pulses, batch)]
-
-
 def _clicks(bob_right: np.ndarray, received_bit: np.ndarray, k_det: np.ndarray,
             k_split0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each of Bob's detectors fires on the k_det photons he detects.
@@ -670,30 +664,31 @@ def _worker(conn, cfg: SimConfig, policy: _StrategyAPolicy | None,
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the pulse-level simulation described by ``cfg``.
 
-    The tallies are independent of ``batch_size`` and ``workers``; both only
+    The tallies are independent of ``workers`` and ``batch_size``; both only
     set how the work is divided.  The random streams are laid out over fixed
-    blocks of ``BLOCK`` pulses (see the module docstring).  The chunks of
-    ``batch_size`` pulses, rounded up to whole blocks, are split into
-    w = min(workers, chunks) contiguous runs of near-equal chunk counts.
-    One run is simulated in this process; otherwise each run goes to one
-    worker process, started for this call and joined before it returns or
-    raises.  A worker's exception is re-raised here, and a worker that exits
-    without a result raises RuntimeError naming its blocks.
+    blocks of ``BLOCK`` pulses (see the module docstring).  The b blocks of
+    the n pulses go to w = max(1, min(workers, b, n // batch_size)) runs of
+    b // w or b // w + 1 whole blocks: at most one process per
+    ``batch_size`` pulses, since starting one costs about what 2^20 pulses
+    of work take, and no run without a block.  One run is simulated in this
+    process; otherwise each run goes to one worker process, started for
+    this call and joined before it returns or raises.  A worker's exception
+    is re-raised here, and one that exits without a result raises
+    RuntimeError naming its blocks.
     """
     cfg.validate()
     policy = _strategy_a_policy(cfg) if cfg.eve_model is EveModel.STRATEGY_A else None
-    chunks = _chunk_ranges(cfg.n_pulses, cfg.batch_size)
-    w = min(cfg.workers, len(chunks))
-    runs = [(chunks[i * len(chunks) // w][0], chunks[(i + 1) * len(chunks) // w - 1][1])
-            for i in range(w)]
+    blocks = -(-cfg.n_pulses // BLOCK)
+    w = max(1, min(cfg.workers, blocks, cfg.n_pulses // cfg.batch_size))
     if w == 1:
-        return _simulate_chunk(cfg, policy, *runs[0])
+        return _simulate_chunk(cfg, policy, 0, cfg.n_pulses)
+    edges = [i * blocks // w * BLOCK for i in range(w)] + [cfg.n_pulses]
     # numpy loads numpy.random lazily: import it once here, so that forked
     # workers inherit it rather than each importing it again.
     import numpy.random  # noqa: F401
     children = []
     try:
-        for start, stop in runs:
+        for start, stop in zip(edges, edges[1:]):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_worker,
                                             args=(sender, cfg, policy, start, stop))

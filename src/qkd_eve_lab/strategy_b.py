@@ -277,19 +277,19 @@ def solve_gamma(
         raise ValueError(f"t_e must be in (0, 1], got {t_e}")
     if not 0 <= lam <= 1:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
+    if form not in ("exact", "second_order"):
+        raise ValueError(f"form must be 'exact' or 'second_order', got {form!r}")
     if lam == 1.0:
         return None if t_ab > 0 else 0.0
 
     if form == "second_order":
         gamma = (t_ab / ((1.0 - lam) * t_e) - lam * mu) / (1.0 - lam * mu)
-    elif form == "exact":
+    else:
         m = (1.0 - lam) * mu * t_e
         e_blocked = math.exp(-mu * (lam + (1.0 - lam) * t_e))
         e_pass = math.exp(-m)
         target = t_ab * math.exp(-mu * t_ab) / ((1.0 - lam) * t_e)
         gamma = 1.0 + (target - e_pass) / e_blocked
-    else:
-        raise ValueError(f"form must be 'exact' or 'second_order', got {form!r}")
 
     if gamma < -_EDGE_TOL or gamma > 1.0 + _EDGE_TOL:
         return None

@@ -368,7 +368,6 @@ def oracle_cases(
     n_pulses: int = 10**8,
     seed: int = 42,
     workers: int = 1,
-    batch_size: int = 2**20,
 ) -> list[OracleCase]:
     """Every oracle case, in report order, without running anything: case
     i simulates ``n_pulses`` pulses at seed ``seed + i``."""
@@ -388,8 +387,7 @@ def oracle_cases(
         )
         sim = SimConfig(system=system, eve_model=eve,
                         attack=attack(system, d) if attack else None, distance_km=d,
-                        n_pulses=n_pulses, seed=seed + i, workers=workers,
-                        batch_size=batch_size)
+                        n_pulses=n_pulses, seed=seed + i, workers=workers)
         cases.append(OracleCase(name, sim, _expectations(sim, quantities)))
     return cases
 
@@ -398,7 +396,6 @@ def oracle_suite(
     n_pulses: int = 10**8,
     seed: int = 42,
     workers: int = 1,
-    batch_size: int = 2**20,
 ) -> Report:
     """Run every oracle case and merge the comparisons into one report.
 
@@ -406,7 +403,7 @@ def oracle_suite(
     import, so a wrapper set on it later, such as perfbench's tracer, is
     called no matter when this module was first imported."""
     merged = Report()
-    for case in oracle_cases(n_pulses, seed, workers, batch_size):
+    for case in oracle_cases(n_pulses, seed, workers):
         sim = montecarlo.simulate(case.sim)
         merged.checks.extend(compare(case.name, sim, case.expected).checks)
     return merged

@@ -24,6 +24,7 @@ supports the 5 km claim but does not say which credit or alarm window it
 means, so the check is asserted as specified and fails honestly.
 """
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -266,12 +267,20 @@ def test_criterion_9_privacy_amplification_arithmetic():
                      f"single-photon regime {lost_a:.4f}")
 
 
-def test_criterion_10_simulation_determinism(tmp_path):
-    common = ["montecarlo", "--set", "sim.pulses=3e5", "--seed", "2024"]
+def test_criterion_10_simulation_determinism(tmp_path, monkeypatch):
+    started = []
+    start = multiprocessing.Process.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+    common = ["montecarlo", "--set", "sim.pulses=4.2e6", "--seed", "2024"]
     a = tmp_path / "workers1.csv"
     b = tmp_path / "workers4.csv"
     rc1 = main(common + ["--out", str(a), "--set", "sim.workers=1"])
-    rc2 = main(common + ["--out", str(b), "--set", "sim.workers=4",
-                         "--set", "sim.batch_size=65536"])
-    ok = rc1 == 0 and rc2 == 0 and a.read_bytes() == b.read_bytes()
-    _report("10", ok, "montecarlo output byte-identical across worker counts")
+    rc2 = main(common + ["--out", str(b), "--set", "sim.workers=4"])
+    ok = rc1 == 0 and rc2 == 0 and len(started) == 4 and a.read_bytes() == b.read_bytes()
+    _report("10", ok, f"montecarlo output byte-identical across worker counts "
+                      f"({len(started)} worker processes started at sim.workers=4)")

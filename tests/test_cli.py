@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -47,11 +48,14 @@ class TestConfigParsing:
         pairs = parse_config_text("# comment\n\nsource.mu = 0.2 # inline\n")
         assert pairs == {"source.mu": "0.2"}
 
-    def test_unknown_key_lists_valid_ones(self):
+    @pytest.mark.parametrize("key", ["source.brightness", "sim.batch_size"])
+    def test_unknown_key_lists_valid_ones(self, key, capsys):
         settings = Settings()
         with pytest.raises(ConfigError) as excinfo:
-            settings.apply({"source.brightness": "1"})
+            settings.apply({key: "65536"})
         assert "source.mu" in str(excinfo.value)
+        assert main(["strategy-b", "--report", "thresholds", "--set", f"{key}=65536"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}; ")
 
     def test_overrides_win_over_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -224,18 +228,26 @@ class TestDeterministicOutput:
         assert main(["strategy-a", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_montecarlo_rerun_and_worker_invariance(self, tmp_path):
-        common = ["montecarlo", "--set", "sim.pulses=2e5", "--seed", "7",
+    def test_montecarlo_rerun_and_worker_invariance(self, tmp_path, monkeypatch):
+        started = []
+        start = multiprocessing.Process.start
+
+        def recording_start(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+        common = ["montecarlo", "--set", "sim.pulses=3.2e6", "--seed", "7",
                   "--set", "detector.p_dark=0"]
         paths = [tmp_path / name for name in ("w1.csv", "w1b.csv", "w3.csv")]
         assert main(common + ["--out", str(paths[0]), "--set", "sim.workers=1"]) == 0
         assert main(common + ["--out", str(paths[1]), "--set", "sim.workers=1"]) == 0
-        assert main(common + ["--out", str(paths[2]), "--set", "sim.workers=3",
-                              "--set", "sim.batch_size=65536"]) == 0
+        assert main(common + ["--out", str(paths[2]), "--set", "sim.workers=3"]) == 0
+        assert len(started) == 3
         first = paths[0].read_bytes()
         assert first == paths[1].read_bytes()
-        # execution knobs are excluded from the header, so files stay
-        # byte-identical across worker counts and batch sizes
+        # the worker count is excluded from the header, so files stay
+        # byte-identical across it
         assert first == paths[2].read_bytes()
 
 

@@ -225,6 +225,11 @@ class TestPCoinc:
     def test_opaque_channel(self):
         assert p_coinc(SRC, 0.0, DET) == 0.0
 
+    @pytest.mark.parametrize("mode", [BasisMode.ACTIVE, BasisMode.PASSIVE])
+    def test_unknown_form_rejected(self, mode):
+        with pytest.raises(ValueError, match="form must be"):
+            p_coinc(SRC, 0.5, DET, mode, form="bogus")
+
     @given(
         st.floats(min_value=0.01, max_value=1.0),
         st.floats(min_value=0.01, max_value=1.0),

@@ -904,6 +904,28 @@ class TestBlockMemory:
                         seed=3)
         assert self._peak(cfg) < 1.15 * 2**20
 
+    def test_one_worker_run_builds_nothing_per_share(self, monkeypatch):
+        """With the block loop stubbed out, a one-worker ``simulate`` of
+        10^11 pulses peaks under 1 MiB under tracemalloc: it hands the whole
+        range to one run and lists no share of it (a list of its 2^20-pulse
+        chunks peaked at 12.6 MB)."""
+        runs = []
+
+        def stub(cfg, policy, start, stop):
+            runs.append((start, stop))
+            return SimResult()
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", stub)
+        cfg = SimConfig(system=make_system(), eve_model=EveModel.NONE, n_pulses=10**11)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [(0, 10**11)]
+        assert peak < 2**20
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -951,8 +973,8 @@ class TestDeterminism:
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="planted faults reach workers only by fork")
 class TestFanOut:
-    """``simulate`` starts one process per run of chunks, hands each its
-    result or exception back, and leaves no process running."""
+    """``simulate`` starts one process per run of whole blocks, hands each
+    its result or exception back, and leaves no process running."""
 
     KWARGS = dict(system=make_system(), eve_model=EveModel.NONE, seed=9, batch_size=BLOCK)
 
@@ -986,6 +1008,20 @@ class TestFanOut:
     def test_one_process_per_run_of_chunks(self, started, blocks, workers, runs):
         kwargs = dict(self.KWARGS, n_pulses=blocks * BLOCK)
         assert simulate(SimConfig(workers=workers, **kwargs)) == simulate(SimConfig(**kwargs))
+        assert started == [(a * BLOCK, b * BLOCK) for a, b in runs]
+
+    @pytest.mark.parametrize("n_pulses, batch_size, runs", [
+        (2**20 + 1, 2**20, []),
+        (3 * 2**20, 2**20, [(0, 24), (24, 48)]),
+        (100, 4, []),
+    ], ids=["one-share-and-a-pulse", "three-shares", "100pulses-batch4"])
+    def test_at_most_one_process_per_batch_size_pulses(self, started, n_pulses, batch_size,
+                                                       runs):
+        """Two workers start at most one process per ``batch_size`` pulses
+        (2^20 by default), each on a near-equal run of whole blocks, and
+        never more processes than blocks."""
+        kwargs = dict(self.KWARGS, n_pulses=n_pulses, batch_size=batch_size)
+        assert simulate(SimConfig(workers=2, **kwargs)) == simulate(SimConfig(**kwargs))
         assert started == [(a * BLOCK, b * BLOCK) for a, b in runs]
 
     @staticmethod

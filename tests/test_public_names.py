@@ -94,7 +94,7 @@ def test_stats_command_loads_no_monte_carlo(tmp_path):
 
 
 def test_montecarlo_command_loads_numpy_random_before_it_forks(tmp_path):
-    """Two workers over four blocks: each worker process starts after
+    """Two workers over 2^21 pulses: each worker process starts after
     ``numpy.random`` is loaded, so no forked worker imports it again."""
     out = tmp_path / "mc.csv"
     report = _fresh_interpreter(
@@ -106,9 +106,8 @@ def test_montecarlo_command_loads_numpy_random_before_it_forks(tmp_path):
         "    start(self)\n"
         "multiprocessing.Process.start = recording_start\n"
         "from qkd_eve_lab import cli\n"
-        f"code = cli.main(['montecarlo', '--set', 'sim.pulses={4 * 2**16}', '--set',\n"
-        f"                 'sim.batch_size={2**16}', '--set', 'sim.workers=2',\n"
-        f"                 '--out', {str(out)!r}])\n"
+        f"code = cli.main(['montecarlo', '--set', 'sim.pulses={2**21}',\n"
+        f"                 '--set', 'sim.workers=2', '--out', {str(out)!r}])\n"
         "print(json.dumps({'code': code, 'seen': seen}))\n")
     assert report == {"code": 0, "seen": [True, True]}
-    assert f"n_pulses,{4 * 2**16}," in out.read_text()
+    assert f"n_pulses,{2**21}," in out.read_text()

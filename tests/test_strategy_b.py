@@ -166,6 +166,12 @@ class TestSolveGamma:
         assert g == pytest.approx(16.0206, abs=1e-4)
         assert abs(g - 16.0) <= 0.1
 
+    @pytest.mark.parametrize("t_ab, lam", [(0.5, 0.5), (0.5, 1.0), (0.0, 1.0)])
+    def test_unknown_form_rejected(self, t_ab, lam):
+        """Also at lambda = 1, where every photon is tapped and no gamma is solved."""
+        with pytest.raises(ValueError, match="form must be"):
+            solve_gamma(MU, t_ab, lam, 0.9, form="bogus")
+
     def test_infeasible_when_gamma_one_undershoots(self):
         # heavy tap over a barely better fiber cannot reach the clean rate
         assert solve_gamma(MU, 0.5, 0.9, 0.55) is None
