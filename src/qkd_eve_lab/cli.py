@@ -46,23 +46,32 @@ def _header_lines(settings: Settings) -> list[str]:
     return [f"# {key} = {val}" for key, val in settings.as_pairs().items()]
 
 
-def _write_lines(out: Path | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
-def _write_whole(path: Path, lines: list[str]) -> None:
-    """Write ``lines`` to a temporary name beside ``path``, then rename it
-    over ``path``, so a failed write leaves no partial file."""
-    tmp = path.with_name(f".{path.name}.tmp")
+def _write(tables: dict[Path | None, list[str]]) -> None:
+    """Write each table to its path, or to stdout under None.  Each path is
+    written to a temporary name beside it, a directory is refused, and all are
+    renamed into place only once every one is written: a failed run changes
+    no file, and its error names the path, not the temporary file."""
+    temporary: dict[Path, Path] = {}
     try:
-        _write_lines(tmp, lines)
-        os.replace(tmp, path)
+        for path, lines in tables.items():
+            text = "\n".join(lines) + "\n"
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            if path.is_dir():
+                raise IsADirectoryError(f"Is a directory: '{path}'")
+            tmp = temporary[path] = path.with_name(f".{path.name}.tmp")
+            try:
+                tmp.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                if exc.filename is not None:  # name the output, not its temporary file
+                    exc.filename = str(path)
+                raise
+        for path, tmp in temporary.items():
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in temporary.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _csv_lines(
@@ -127,7 +136,7 @@ def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
     d = _sweep(settings)
     t = system.t_ab(d)
     rate = core_stats.rates(src, t, det)
-    _write_lines(args.out, _csv_lines(settings, {
+    _write({args.out: _csv_lines(settings, {
         "distance_km": d,
         "t_ab": t,
         "p0": core_stats.poisson_pmf(0, src.mu),
@@ -142,7 +151,7 @@ def _cmd_stats(settings: Settings, args: argparse.Namespace) -> int:
                                              form="approx"),
         "raw_hz": rate.raw_hz,
         "sifted_hz": rate.sifted_hz,
-    }))
+    })})
     return EXIT_OK
 
 
@@ -153,11 +162,11 @@ def _cmd_strategy_a(settings: Settings, args: argparse.Namespace) -> int:
         raise ConfigError(f"channel.alpha_ab: strategy A's crossover needs a lossy "
                           f"fiber, got {settings.alpha_ab}")
     crossover = strategy_a.pure_b_crossover_km(settings.mu, settings.alpha_ab)
-    _write_lines(args.out, _csv_lines(
+    _write({args.out: _csv_lines(
         settings,
         strategy_a.regime_curve(settings.mu, settings.alpha_ab, d),
         extra_header={"pure_case_b_crossover_km": f"{crossover:.4f}"},
-    ))
+    )})
     print(f"pure case-B regime from {crossover:.1f} km "
           f"(mu={settings.mu}, alpha_ab={settings.alpha_ab} dB/km)")
     return EXIT_OK
@@ -184,20 +193,19 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
         settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses),
         mode=system.basis_mode,
     )
-    clean = settings.n_pulses * strategy_b.clean_coinc_ref(
-        settings.mu, t_ab, settings.eta_b, system.basis_mode
-    )
-    _write_lines(args.out, _csv_lines(
+    clean = settings.n_pulses * strategy_b.clean_coinc_ref(settings.mu, t_ab, settings.eta_b,
+                                                            system.basis_mode)
+    _write({args.out: _csv_lines(
         settings,
         columns,
         extra_header={
             "t_ab": _fmt(t_ab),
             "t_e": _fmt(t_e),
             "expected_coincidences_clean": _fmt(clean),
-            "two_sigma_window": _fmt(2.0 * math.sqrt(clean)),
+            "two_sigma_window": _fmt(strategy_b.STEALTH_Z * math.sqrt(clean)),
             "lambda_convention": "solved per gamma on the singles-matched branch",
         },
-    ))
+    )})
     return EXIT_OK
 
 
@@ -235,8 +243,7 @@ def _cmd_rates(settings: Settings, args: argparse.Namespace) -> int:
     cutoffs = {model.value: keyrate.max_distance(model, system) for model in EveModel}
     files[stem] = _csv_lines(settings, {"eve_model": list(cutoffs), "mu": settings.mu,
                                         "max_distance_km": list(cutoffs.values())})
-    for path, lines in files.items():
-        _write_whole(path, lines)
+    _write(files)
     for model, d_max_km in cutoffs.items():
         label = "unbounded at grid limit" if math.isinf(d_max_km) else f"{d_max_km:.1f} km"
         print(f"max distance {model}: {label}")
@@ -265,7 +272,7 @@ def _cmd_montecarlo(settings: Settings, args: argparse.Namespace) -> int:
         workers=settings.workers,
     )
     result = simulate(sim_cfg)
-    _write_lines(args.out, _header_lines(settings) + result.csv_lines())
+    _write({args.out: _header_lines(settings) + result.csv_lines()})
     print(result.summary())
     return EXIT_OK
 
@@ -282,7 +289,7 @@ def _cmd_verify(settings: Settings, args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     if args.out is not None:
-        _write_lines(args.out, _header_lines(settings) + report.csv_lines())
+        _write({args.out: _header_lines(settings) + report.csv_lines()})
     return EXIT_OK if report.family_pass else EXIT_VERIFY
 
 

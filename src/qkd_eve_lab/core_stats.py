@@ -224,19 +224,17 @@ def p_coinc(
     """Probability of a click in both detectors of a wrong-basis pulse;
     elementwise in ``t``.
 
-    With active basis choice the exact form is (1/2)[1 - exp(-(mu/2) t eta)]^2,
-    the quadratic form (1/8) mu^2 t^2 eta^2.  With passive choice only the
-    quadratic form is defined; its prefactor is 5/8 instead of 1/4 applied
-    to P(2) ~ mu^2/2, i.e. (5/16) mu^2 t^2 eta^2.
+    With active basis choice the exact form is (1/2)[1 - exp(-(mu/2) t eta)]^2.
+    The quadratic form, the only one defined for passive choice, is
+    ``BasisMode.coincidence_prefactor`` (1/4 or 5/8) times P(2) ~ mu^2/2,
+    i.e. (1/8) or (5/16) mu^2 t^2 eta^2.
     """
     _check_t(t)
     if form not in ("exact", "approx"):
         raise ValueError(f"form must be 'exact' or 'approx', got {form!r}")
-    if mode is BasisMode.PASSIVE:
-        return 0.625 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
-    if form == "exact":
+    if mode is BasisMode.ACTIVE and form == "exact":
         return 0.5 * np.expm1(-(src.mu / 2.0) * t * det.eta_b) ** 2
-    return 0.25 * (src.mu**2 / 2.0) * t * t * det.eta_b**2
+    return mode.coincidence_prefactor * (src.mu**2 / 2.0) * t * t * det.eta_b**2
 
 
 @dataclass(frozen=True)

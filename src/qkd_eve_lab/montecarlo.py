@@ -93,6 +93,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -276,14 +277,13 @@ def _binomial_from_u(
     return k
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One simulation run: system, eavesdropper, size, and seeding.
 
     ``workers`` and ``batch_size`` cannot change the tallies; they set how
-    many processes share the blocks (see :func:`simulate`).  ``batch_size``
-    is the fewest pulses worth one worker process, since starting one costs
-    about what 2^20 pulses of work take.
+    many processes share the blocks, at most one per ``batch_size`` pulses
+    (see :func:`simulate`).
     """
 
     system: SystemConfig
@@ -296,16 +296,18 @@ class SimConfig:
     batch_size: int = 2**20
     workers: int = 1
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     @property
     def distance(self) -> float:
         if self.distance_km is not None:
             return self.distance_km
         return self.system.channel.length_ab
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("n_pulses", "seed", "workers", "batch_size"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not 0 <= self.seed < 2**128:  # a Philox key
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.n_pulses < 1:
             raise ConfigError(f"n_pulses must be >= 1, got {self.n_pulses}")
         if self.batch_size < 1:
@@ -325,11 +327,8 @@ class SimConfig:
                 raise ConfigError("strategy-b simulation needs attack parameters")
         if self.eve_model is EveModel.UNLIMITED:
             raise ConfigError("eve.model: unlimited is analytic only; nothing to simulate")
-        if self.eve_model is EveModel.STRATEGY_A:
-            if not 0 <= self.attack_fraction <= 1:
-                raise ConfigError(
-                    f"attack_fraction must be in [0, 1], got {self.attack_fraction}"
-                )
+        if self.eve_model is EveModel.STRATEGY_A and not 0 <= self.attack_fraction <= 1:
+            raise ConfigError(f"attack_fraction must be in [0, 1], got {self.attack_fraction}")
 
 
 # Each tally of ``SimResult``, in field order, and the tally it is divided
@@ -450,7 +449,7 @@ def _occupied_pulses(streams: _Streams, block: int, length: int, mu: float,
     indices is one occupied pulse, and its length, the difference of
     consecutive run starts, is the pulse's photon number.  The cap
     truncates only n > PHOTON_CAP, whose probability is < 1e-19 at mu <= 1,
-    as ``SimConfig.validate`` requires.
+    as ``SimConfig`` requires.
     """
     total = int(streams.stream(_COL_N, block).poisson(mu * BLOCK))
     pulses = streams.words(_COL_PHOTONS, block, -(-total // 4)).view("<u2")[:total]
@@ -676,7 +675,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     is re-raised here, and one that exits without a result raises
     RuntimeError naming its blocks.
     """
-    cfg.validate()
     policy = _strategy_a_policy(cfg) if cfg.eve_model is EveModel.STRATEGY_A else None
     blocks = -(-cfg.n_pulses // BLOCK)
     w = max(1, min(cfg.workers, blocks, cfg.n_pulses // cfg.batch_size))

@@ -12,10 +12,9 @@ clean reference uses the Poisson terms eta*P(1) and eta^2*P(2) of the same
 order, so the matching conditions close algebraically instead of up to
 second-order residuals.
 
-The tapped link is written once, elementwise, in :func:`_link`, which
-``photon_dist_prime``, ``photon_dist_prime_zero``, ``lambda_for_gamma``,
-``gamma_sweep`` and ``max_stealth_info`` share; so are the alarm z,
-:func:`_alarm_z`, and the credited information, :func:`_credited_info`.
+Three formulas are written once, elementwise, and shared: the tapped link,
+:func:`_link`; the coincidence alarm, :func:`_alarm`, whose bound is
+``STEALTH_Z``; and the credited information, :func:`_credited_info`.
 """
 from __future__ import annotations
 
@@ -31,6 +30,7 @@ _BRACKET_TOL = -1e-15
 _EDGE_TOL = 1e-12
 _LAM_STEP = 1e-3  # spacing of max_stealth_info's lam grid
 _GAMMA_POINTS = 101  # evenly spaced shutter settings of gamma_sweep, ends included
+STEALTH_Z = 2.0  # the attack stays hidden while its alarm z is at most this
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class BeamsplitAttack:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0 < self.t_e <= 1:
             raise ValueError(f"t_e must be in (0, 1], got {self.t_e}")
-
-    @property
-    def pass_mean_factor(self) -> float:
-        """Mean-photon multiplier on the path to the receiver: (1 - lam) * t_e."""
-        return (1.0 - self.lam) * self.t_e
 
 
 def shutter_survival(attack: BeamsplitAttack, mu: float) -> float:
@@ -102,11 +97,15 @@ def _link(mu: float, lam, gamma, t_e):
     return pass_f, m, gamma, np.maximum(bracket, 0.0)
 
 
-def _alarm_z(attacked, clean):
-    """Alarm z, elementwise: attacked minus clean coincidences over sqrt(clean);
-    0 where they agree, also both at 0, and +inf for an excess over a clean 0."""
+def _alarm(mu: float, t_ab, eta_b: float, n_pulses: float, mode: BasisMode, m, bracket):
+    """Coincidences over n_pulses, elementwise: (attacked, clean, z), with P'(2)
+    = m^2/2 * bracket from :func:`_link`.  z is attacked minus clean over
+    sqrt(clean); 0 where they agree, also both at 0, +inf over a clean 0."""
+    attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
+    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(attacked == clean, 0.0, (attacked - clean) / np.sqrt(clean))
+        z = np.where(attacked == clean, 0.0, (attacked - clean) / np.sqrt(clean))
+    return attacked, clean, z
 
 
 def _credited_info(mu: float, lam, gamma):
@@ -168,7 +167,7 @@ def model_click_probs(
     from :func:`bob_probs_prime` by O(mu * t) terms because the closed
     forms above keep only the leading photon-number term.
     """
-    m = mu * attack.pass_mean_factor
+    _, m, _, _ = _link(mu, attack.lam, attack.gamma, attack.t_e)
     s = shutter_survival(attack, mu)
     p_click = s * -math.expm1(-m * eta_b)
     p_coinc = 0.5 * s * math.expm1(-m * eta_b / 2.0) ** 2
@@ -308,7 +307,7 @@ class AlarmStats:
 
     @property
     def stealthy(self) -> bool:
-        return self.z_score <= 2.0
+        return self.z_score <= STEALTH_Z
 
 
 def coincidence_alarm(
@@ -322,19 +321,15 @@ def coincidence_alarm(
     """Excess coincidences the attack produces, in units of the clean noise.
 
     sigma is the Poisson width of the clean coincidence count; the attack
-    is considered hidden while the excess stays within 2 sigma.
+    is considered hidden while the excess stays within ``STEALTH_Z`` sigma.
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
-    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
-    attacked = n_pulses * bob_probs_prime(attack, mu, eta_b, mode)[1]
-    return AlarmStats(
-        n_pulses=n_pulses,
-        expected_coinc_clean=clean,
-        expected_coinc_attack=attacked,
-        sigma=math.sqrt(clean),
-        z_score=float(_alarm_z(attacked, clean)),
-    )
+    _, m, _, bracket = _link(mu, attack.lam, attack.gamma, attack.t_e)
+    attacked, clean, z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)
+    return AlarmStats(n_pulses=n_pulses, expected_coinc_clean=clean,
+                      expected_coinc_attack=attacked, sigma=math.sqrt(clean),
+                      z_score=float(z))
 
 
 @dataclass(frozen=True)
@@ -365,12 +360,12 @@ def max_stealth_info(
     lam_bsa, where gamma = 1 alone matches the clean singles, comes from 200
     halvings (x e^{-mu x} is monotone for x <= 1 < 1/mu).  An element's lam
     grid is i * 0.001 for i < ceil(lam_bsa / 0.001), the points of
-    ``np.arange(0, lam_bsa, 0.001)``.  Its first information maximum
-    among the stealthy points (gamma < 1, z <= 2) is bisected onto the z = 2
-    contour toward its louder neighbor, and lam_bsa replaces it when that
-    gives more.  With no stealthy grid point, lam_bsa (gamma = 1) is
-    returned with ``constrained=False``; where even that is infeasible, the
-    identity attack (lam = 0, gamma = 1).
+    ``np.arange(0, lam_bsa, 0.001)``.  Its first information maximum among
+    the stealthy points (gamma < 1, z <= STEALTH_Z) is bisected onto the z =
+    STEALTH_Z contour toward its louder neighbor, and lam_bsa replaces it
+    when that gives more.  With no stealthy grid point, lam_bsa (gamma = 1)
+    is returned with ``constrained=False``; where even that is infeasible,
+    the identity attack (lam = 0, gamma = 1).
     """
     t_ab, t_e = np.broadcast_arrays(np.asarray(t_ab, dtype=float), np.asarray(t_e, dtype=float))
     bad = t_e < t_ab
@@ -382,7 +377,6 @@ def max_stealth_info(
     # One row per element; the lam grid runs along the columns.
     shape = t_ab.shape
     t_ab, t_e = t_ab.reshape(-1, 1), t_e.reshape(-1, 1)
-    clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
     target = t_ab * np.exp(-mu * t_ab)
 
     def matched(pass_f, e_blocked, e_pass):
@@ -394,8 +388,8 @@ def max_stealth_info(
     def evaluate(lams: np.ndarray):
         """(gamma, info, z) at tap fractions lams, per row; NaN where infeasible."""
         _, m, gamma, bracket = _link(mu, lams, matched, t_e)
-        pc = mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
-        return gamma, _credited_info(mu, lams, gamma), _alarm_z(n_pulses * pc, clean)
+        z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)[2]
+        return gamma, _credited_info(mu, lams, gamma), z
 
     def above(lam: np.ndarray) -> np.ndarray:
         pass_f, _, _, bracket = _link(mu, lam, 1.0, t_e)
@@ -409,18 +403,18 @@ def max_stealth_info(
         n_lams = np.ceil(lam_bsa / _LAM_STEP)
         lams = np.arange(max(1, int(n_lams.max(initial=0.0)))) * _LAM_STEP
         gamma_g, info_g, z_g = evaluate(lams)
-        stealthy = (np.arange(lams.size) < n_lams) & (z_g <= 2.0) & (gamma_g < 1.0)
+        stealthy = (np.arange(lams.size) < n_lams) & (z_g <= STEALTH_Z) & (gamma_g < 1.0)
         idx = np.argmax(np.where(stealthy, info_g, -np.inf), axis=1, keepdims=True)
         prev = np.maximum(idx - 1, 0)
         lam, gamma, info, z = (lams[idx], *(np.take_along_axis(v, idx, 1)
                                             for v in (gamma_g, info_g, z_g)))
 
-        # Refine from the loud (z > 2 or infeasible) neighbor below the best grid
-        # point onto the z = 2 contour, where the information is slightly higher.
-        refine = (idx > 0) & (np.take_along_axis(z_g, prev, 1) > 2.0)
-        _, hi = bisect(lambda x: ~(evaluate(x)[2] <= 2.0), lams[prev], lam, 60)
+        # Refine from the loud (z > STEALTH_Z or infeasible) neighbor below the best
+        # grid point onto the contour, where the information is slightly higher.
+        refine = (idx > 0) & (np.take_along_axis(z_g, prev, 1) > STEALTH_Z)
+        _, hi = bisect(lambda x: ~(evaluate(x)[2] <= STEALTH_Z), lams[prev], lam, 60)
         r_gamma, r_info, r_z = evaluate(hi)
-        take = refine & (r_z <= 2.0) & (r_info > info)
+        take = refine & (r_z <= STEALTH_Z) & (r_info > info)
         lam, gamma, info, z = (np.where(take, new, old) for new, old in
                                ((hi, lam), (r_gamma, gamma), (r_info, info), (r_z, z)))
 
@@ -481,7 +475,6 @@ def gamma_sweep(
     lam = lambda_for_gamma(mu, t_ab, t_e, gamma)
     gamma, lam = gamma[~np.isnan(lam)], lam[~np.isnan(lam)]
     _, m, _, bracket = _link(mu, lam, gamma, t_e)
-    attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
-    z = _alarm_z(attacked, n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode))
+    attacked, _, z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)
     info = _credited_info(mu, lam, gamma)
     return {"gamma": gamma, "expected_coincidences": attacked, "z_score": z, "info": info}

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and config handling."""
 import contextlib
+import errno
 import io
 import math
 import multiprocessing
+import os
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -399,7 +401,34 @@ class TestRatesFailureWritesNothing:
         assert main(["rates", "--out", str(tmp_path / "rates.csv"), "--set", "sweep.step=50",
                      "--set", "rates.mu_values=0.1"]) == 1
         assert not list(tmp_path.glob(".*"))
+        assert not list(tmp_path.glob("rates_*_mu*.csv"))  # no curve went in before the table
         assert not list((tmp_path / "rates.csv").iterdir())
+
+    def test_missing_directory_is_named_by_the_output_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rates.csv"
+        assert main(["rates", "--out", str(out), "--set", "sweep.step=50",
+                     "--set", "rates.mu_values=0.1"]) == 1
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{tmp_path / 'missing' / 'rates_none_mu0.1.csv'}'" in err
+        assert ".tmp" not in err
+
+
+class TestFailedWriteKeepsTheEarlierFile:
+    def test_stats_over_an_existing_file(self, tmp_path, monkeypatch, capsys):
+        """A write that truncates its file and then fails leaves the earlier
+        table in place: the truncated file is a temporary one."""
+        out = tmp_path / "stats.csv"
+        out.write_text("an earlier table\n")
+
+        def truncate_then_fail(self, *args, **kwargs):
+            self.open("w").close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+        monkeypatch.setattr(Path, "write_text", truncate_then_fail)
+        assert main(["stats", "--out", str(out), "--set", "sweep.step=50"]) == 1
+        assert f"No space left on device: '{out}'" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
 
 
 class TestDarkCountCap:

@@ -4,6 +4,7 @@ The fast tier runs a few hundred thousand to a few million pulses; each
 statistical assertion states its false-alarm rate at its sample size, at
 most 1e-3 per test.  The full 1e8 oracle run lives in the acceptance suite.
 """
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -1400,6 +1401,29 @@ class TestValidation:
         )
         with pytest.raises(ConfigError):
             SimConfig(system=system, eve_model=EveModel.NONE, n_pulses=100, seed=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5),  # Philox would run it as key 1
+        ("seed", -1),
+        ("seed", 2**128),
+        ("n_pulses", 1e5),
+        ("workers", 2.0),
+        ("batch_size", 2.0**20),
+    ])
+    def test_non_integer_or_out_of_range_count_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            SimConfig(system=make_system(), **{"n_pulses": 2**21, field: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = SimConfig(system=make_system(), n_pulses=np.int64(100), seed=np.uint64(2**64 - 1),
+                        workers=np.int32(2))
+        assert simulate(cfg) == simulate(SimConfig(system=make_system(), n_pulses=100,
+                                                   seed=2**64 - 1))
+
+    def test_frozen(self):
+        cfg = SimConfig(system=make_system())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 7
 
 
 class TestCompare:

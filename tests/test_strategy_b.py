@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qkd_eve_lab import strategy_b
 from qkd_eve_lab.config import Settings
 from qkd_eve_lab.core_stats import BasisMode, transmission
 from qkd_eve_lab.strategy_b import (
     _EDGE_TOL,
+    STEALTH_Z,
+    AlarmStats,
     BeamsplitAttack,
     StealthOptimum,
     blocking_threshold_db,
@@ -65,7 +68,7 @@ class TestPhotonDistPrime:
     def test_factorizes_into_thinned_poisson_times_survival(self):
         attack = BeamsplitAttack(lam=0.4, gamma=0.3, t_e=0.8)
         s = shutter_survival(attack, MU)
-        mean = attack.pass_mean_factor * MU
+        mean = (1 - attack.lam) * attack.t_e * MU
         for n in range(1, 6):
             assert photon_dist_prime(n, attack, MU) == pytest.approx(
                 stats.poisson.pmf(n, mean) * s, rel=1e-12
@@ -125,7 +128,7 @@ class TestBobProbsPrime:
         attack = BeamsplitAttack(lam=0.3, gamma=0.6, t_e=0.2)
         ps_paper, pc_paper = bob_probs_prime(attack, MU, 0.1)
         p_click, p_coinc = model_click_probs(attack, MU, 0.1)
-        m = MU * attack.pass_mean_factor
+        m = MU * (1 - attack.lam) * attack.t_e
         assert abs(ps_paper - p_click) / p_click < 1.2 * m
         assert abs(pc_paper - p_coinc) / p_coinc < 1.2 * m
 
@@ -324,6 +327,21 @@ class TestMaxStealthInfo:
         )
         assert ps == pytest.approx(clean_singles_ref(MU, T60, 0.1), rel=1e-9)
 
+    @pytest.mark.parametrize("bound", [STEALTH_Z, 3.0])
+    def test_every_bound_is_stealth_z(self, bound, monkeypatch):
+        """The optimum's contour and ``AlarmStats.stealthy`` both move with
+        ``STEALTH_Z``; no other 2-sigma bound is left to disagree with it."""
+        assert STEALTH_Z == 2.0
+        monkeypatch.setattr(strategy_b, "STEALTH_Z", bound)
+        t_e = transmission(0.15 * 60)
+        opt = max_stealth_info(MU, T60, t_e, 0.1, 1e10)
+        assert opt.constrained
+        assert opt.z_score == pytest.approx(bound, abs=1e-6)
+        alarm = AlarmStats(n_pulses=1e10, expected_coinc_clean=1.0,
+                           expected_coinc_attack=1.0, sigma=1.0, z_score=bound)
+        assert alarm.stealthy
+        assert not AlarmStats(**{**vars(alarm), "z_score": np.nextafter(bound, 9.0)}).stealthy
+
     def test_huge_monitoring_sample_forces_pure_beamsplitting(self):
         t_e = transmission(0.15 * 60)
         opt = max_stealth_info(MU, T60, t_e, 0.1, 1e22)
@@ -352,6 +370,29 @@ class TestMaxStealthInfo:
             max_stealth_info(MU, 0.0, 0.3, 0.1, 1e10)
         with pytest.raises(ValueError, match=r"t_ab must be > 0, got 0\.0$"):
             max_stealth_info(MU, [0.1, 0.0], 0.3, 0.1, 1e10)
+
+
+class TestOneAlarm:
+    """``coincidence_alarm``, ``gamma_sweep`` and ``max_stealth_info`` read one
+    alarm formula, so they agree to the last bit: mu = 0.1, 10-80 km."""
+
+    @pytest.mark.parametrize("mode", list(BasisMode))
+    def test_every_path_gives_the_same_count_and_z(self, mode):
+        rows = 0
+        for km in range(10, 81, 10):
+            t_ab, t_e = transmission(0.25 * km), transmission(0.15 * km)
+            sweep = gamma_sweep(MU, t_ab, t_e, 0.1, 1e10, mode)
+            lams = lambda_for_gamma(MU, t_ab, t_e, sweep["gamma"])
+            for gamma, lam, count, z in zip(sweep["gamma"], lams,
+                                            sweep["expected_coincidences"], sweep["z_score"]):
+                attack = BeamsplitAttack(lam=float(lam), gamma=float(gamma), t_e=t_e)
+                alarm = coincidence_alarm(attack, MU, 0.1, t_ab, 1e10, mode)
+                assert (alarm.expected_coinc_attack, alarm.z_score) == (count, z), (km, gamma)
+                rows += 1
+            opt = max_stealth_info(MU, t_ab, t_e, 0.1, 1e10, mode)
+            attack = BeamsplitAttack(lam=float(opt.lam), gamma=float(opt.gamma), t_e=t_e)
+            assert coincidence_alarm(attack, MU, 0.1, t_ab, 1e10, mode).z_score == opt.z_score
+        assert rows > 200
 
 
 # Reference for the array optimum: the scalar stealth optimum, solved for one
