@@ -63,9 +63,8 @@ def _write(tables: dict[Path | None, list[str]]) -> None:
             tmp = temporary[path] = path.with_name(f".{path.name}.tmp")
             try:
                 tmp.write_text(text, encoding="utf-8")
-            except OSError as exc:
-                if exc.filename is not None:  # name the output, not its temporary file
-                    exc.filename = str(path)
+            except OSError as exc:  # name the output, not its temporary file
+                exc.filename = str(path)
                 raise
         for path, tmp in temporary.items():
             os.replace(tmp, path)
@@ -193,8 +192,9 @@ def _cmd_strategy_b(settings: Settings, args: argparse.Namespace) -> int:
         settings.mu, t_ab, t_e, settings.eta_b, float(settings.n_pulses),
         mode=system.basis_mode,
     )
-    clean = settings.n_pulses * strategy_b.clean_coinc_ref(settings.mu, t_ab, settings.eta_b,
-                                                            system.basis_mode)
+    clean = settings.n_pulses * strategy_b.clean_coinc_ref(
+        settings.mu, t_ab, settings.eta_b, system.basis_mode
+    )
     _write({args.out: _csv_lines(
         settings,
         columns,

@@ -101,6 +101,8 @@ def _alarm(mu: float, t_ab, eta_b: float, n_pulses: float, mode: BasisMode, m, b
     """Coincidences over n_pulses, elementwise: (attacked, clean, z), with P'(2)
     = m^2/2 * bracket from :func:`_link`.  z is attacked minus clean over
     sqrt(clean); 0 where they agree, also both at 0, +inf over a clean 0."""
+    if not n_pulses > 0:
+        raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
     clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -323,8 +325,6 @@ def coincidence_alarm(
     sigma is the Poisson width of the clean coincidence count; the attack
     is considered hidden while the excess stays within ``STEALTH_Z`` sigma.
     """
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     _, m, _, bracket = _link(mu, attack.lam, attack.gamma, attack.t_e)
     attacked, clean, z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)
     return AlarmStats(n_pulses=n_pulses, expected_coinc_clean=clean,

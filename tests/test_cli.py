@@ -416,13 +416,14 @@ class TestRatesFailureWritesNothing:
 class TestFailedWriteKeepsTheEarlierFile:
     def test_stats_over_an_existing_file(self, tmp_path, monkeypatch, capsys):
         """A write that truncates its file and then fails leaves the earlier
-        table in place: the truncated file is a temporary one."""
+        table in place: the truncated file is a temporary one.  A full disk
+        fails the write with no file name, and the error still names the output."""
         out = tmp_path / "stats.csv"
         out.write_text("an earlier table\n")
 
         def truncate_then_fail(self, *args, **kwargs):
             self.open("w").close()
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(Path, "write_text", truncate_then_fail)
         assert main(["stats", "--out", str(out), "--set", "sweep.step=50"]) == 1

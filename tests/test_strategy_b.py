@@ -394,6 +394,16 @@ class TestOneAlarm:
             assert coincidence_alarm(attack, MU, 0.1, t_ab, 1e10, mode).z_score == opt.z_score
         assert rows > 200
 
+    @pytest.mark.parametrize("n_pulses", [0.0, -1e10, float("nan")])
+    def test_every_path_rejects_a_window_without_pulses(self, n_pulses):
+        t_ab, t_e = transmission(0.25 * 60), transmission(0.15 * 60)
+        attack = BeamsplitAttack(lam=0.3, gamma=0.5, t_e=t_e)
+        for call in (lambda: coincidence_alarm(attack, MU, 0.1, t_ab, n_pulses),
+                     lambda: gamma_sweep(MU, t_ab, t_e, 0.1, n_pulses),
+                     lambda: max_stealth_info(MU, t_ab, t_e, 0.1, n_pulses)):
+            with pytest.raises(ValueError, match="^n_pulses must be > 0"):
+                call()
+
 
 # Reference for the array optimum: the scalar stealth optimum, solved for one
 # (t_ab, t_e) at a time with ``bisect``, a scalar halving loop.
