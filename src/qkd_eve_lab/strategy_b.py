@@ -12,14 +12,18 @@ clean reference uses the Poisson terms eta*P(1) and eta^2*P(2) of the same
 order, so the matching conditions close algebraically instead of up to
 second-order residuals.
 
-Three formulas are written once, elementwise, and shared: the tapped link,
-:func:`_link`; the coincidence alarm, :func:`_alarm`, whose bound is
-``STEALTH_Z``; and the credited information, :func:`_credited_info`.
+Five formulas are written once, elementwise, and shared: the clean
+reference, :func:`_clean`, which also checks mu and t_ab for every path; the
+tapped link, :func:`_link`; the singles-matched shutter, :func:`_matched`,
+whose [0, 1] rule is :func:`_feasible`; the coincidence alarm,
+:func:`_alarm`, whose bound is ``STEALTH_Z``; and the credited information,
+:func:`_credited_info`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -97,12 +101,48 @@ def _link(mu: float, lam, gamma, t_e):
     return pass_f, m, gamma, np.maximum(bracket, 0.0)
 
 
+def _clean(mu: float, t_ab):
+    """The clean link's Poisson terms at mean mu * t_ab, elementwise:
+    (P(1)/mu, P(2)).  Rejects mu that is not finite and > 0, and t_ab
+    outside [0, 1] or NaN."""
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    bad = ~((0 <= np.asarray(t_ab)) & (np.asarray(t_ab) <= 1))
+    if bad.any():
+        raise ValueError(f"t_ab must be in [0, 1], got {np.asarray(t_ab)[bad][0]}")
+    e = np.exp(-mu * t_ab)
+    return t_ab * e, (mu * t_ab) ** 2 / 2.0 * e
+
+
+def _feasible(gamma):
+    """gamma clipped to [0, 1] where it lies within _EDGE_TOL of it; NaN
+    further out, where no shutter setting will do."""
+    inside = (gamma >= -_EDGE_TOL) & (gamma <= 1.0 + _EDGE_TOL)
+    return np.where(inside, np.clip(gamma, 0.0, 1.0), np.nan)
+
+
+def _matched(target, pass_f, e_blocked, e_pass):
+    """The singles-matched shutter, the gamma at which the attacked singles
+    level pass_f * bracket of :func:`_link` equals ``target`` (P(1)/mu of
+    :func:`_clean`); NaN where none in [0, 1] does.  :func:`_link` takes it
+    as ``partial(_matched, target)``."""
+    return _feasible(1.0 + (target / pass_f - e_pass) / e_blocked)
+
+
+def _singles(mu: float, lam, gamma, t_e):
+    """The attacked singles level P'(1)/mu = pass_f * bracket, elementwise."""
+    pass_f, _, _, bracket = _link(mu, lam, gamma, t_e)
+    return pass_f * bracket
+
+
 def _alarm(mu: float, t_ab, eta_b: float, n_pulses: float, mode: BasisMode, m, bracket):
     """Coincidences over n_pulses, elementwise: (attacked, clean, z), with P'(2)
     = m^2/2 * bracket from :func:`_link`.  z is attacked minus clean over
     sqrt(clean); 0 where they agree, also both at 0, +inf over a clean 0."""
     if not n_pulses > 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
+    if not 0 < eta_b <= 1:
+        raise ValueError(f"eta_b must be in (0, 1], got {eta_b}")
     attacked = n_pulses * mode.coincidence_prefactor * eta_b**2 * m * m / 2.0 * bracket
     clean = n_pulses * clean_coinc_ref(mu, t_ab, eta_b, mode)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -134,7 +174,7 @@ def photon_dist_prime_zero(attack: BeamsplitAttack, mu: float) -> float:
 def clean_singles_ref(mu: float, t_ab: float, eta_b: float) -> float:
     """Clean-channel singles in the same order as the attacked expression:
     eta_b * P(1; mu * t_ab)."""
-    return eta_b * mu * t_ab * math.exp(-mu * t_ab)
+    return eta_b * mu * _clean(mu, t_ab)[0]
 
 
 def clean_coinc_ref(
@@ -142,8 +182,7 @@ def clean_coinc_ref(
 ) -> float:
     """Clean-channel coincidences in the attacked expression's family:
     prefactor * eta_b^2 * P(2; mu * t_ab); elementwise."""
-    p2 = (mu * t_ab) ** 2 / 2.0 * np.exp(-mu * t_ab)
-    return mode.coincidence_prefactor * eta_b**2 * p2
+    return mode.coincidence_prefactor * eta_b**2 * _clean(mu, t_ab)[1]
 
 
 def bob_probs_prime(
@@ -264,37 +303,24 @@ def solve_gamma(
 ) -> float | None:
     """Shutter setting that reproduces the clean singles rate, or None.
 
-    form="exact" inverts eta * P'(1) = eta * P(1; mu t_ab) using the full
-    exponential bracket; form="second_order" uses the polynomial forms, in
-    which the full-blocking boundary sits exactly at t_ab = t_e mu / 4.
-    Infeasible configurations (gamma = 1 still undershoots, or gamma = 0
-    already overshoots) return None.
+    form="exact" is the scalar view of :func:`_matched`, the shutter that
+    :func:`max_stealth_info` uses; form="second_order" uses the polynomial
+    forms, in which the full-blocking boundary sits exactly at
+    t_ab = t_e mu / 4.  Infeasible configurations (gamma = 1 still
+    undershoots, or gamma = 0 already overshoots) return None.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if not 0 <= t_ab <= 1:
-        raise ValueError(f"t_ab must be in [0, 1], got {t_ab}")
-    if not 0 < t_e <= 1:
-        raise ValueError(f"t_e must be in (0, 1], got {t_e}")
-    if not 0 <= lam <= 1:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
+    target = _clean(mu, t_ab)[0]  # also checks mu and t_ab
+    BeamsplitAttack(lam=lam, gamma=1.0, t_e=t_e)  # validates lam and t_e
     if form not in ("exact", "second_order"):
         raise ValueError(f"form must be 'exact' or 'second_order', got {form!r}")
     if lam == 1.0:
         return None if t_ab > 0 else 0.0
 
     if form == "second_order":
-        gamma = (t_ab / ((1.0 - lam) * t_e) - lam * mu) / (1.0 - lam * mu)
+        gamma = _feasible((t_ab / ((1.0 - lam) * t_e) - lam * mu) / (1.0 - lam * mu))
     else:
-        m = (1.0 - lam) * mu * t_e
-        e_blocked = math.exp(-mu * (lam + (1.0 - lam) * t_e))
-        e_pass = math.exp(-m)
-        target = t_ab * math.exp(-mu * t_ab) / ((1.0 - lam) * t_e)
-        gamma = 1.0 + (target - e_pass) / e_blocked
-
-    if gamma < -_EDGE_TOL or gamma > 1.0 + _EDGE_TOL:
-        return None
-    return min(1.0, max(0.0, gamma))
+        gamma = _link(mu, lam, partial(_matched, target), t_e)[2]
+    return None if np.isnan(gamma) else float(gamma)
 
 
 @dataclass(frozen=True)
@@ -328,8 +354,7 @@ def coincidence_alarm(
     _, m, _, bracket = _link(mu, attack.lam, attack.gamma, attack.t_e)
     attacked, clean, z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)
     return AlarmStats(n_pulses=n_pulses, expected_coinc_clean=clean,
-                      expected_coinc_attack=attacked, sigma=math.sqrt(clean),
-                      z_score=float(z))
+                      expected_coinc_attack=attacked, sigma=math.sqrt(clean), z_score=float(z))
 
 
 @dataclass(frozen=True)
@@ -368,6 +393,8 @@ def max_stealth_info(
     the identity attack (lam = 0, gamma = 1).
     """
     t_ab, t_e = np.broadcast_arrays(np.asarray(t_ab, dtype=float), np.asarray(t_e, dtype=float))
+    if not np.all(t_e <= 1):
+        raise ValueError(f"t_e must be <= 1, got {t_e[~(t_e <= 1)][0]}")
     bad = t_e < t_ab
     if bad.any():
         raise ValueError(f"t_e must be >= t_ab, got t_e={t_e[bad][0]} < t_ab={t_ab[bad][0]}")
@@ -377,23 +404,16 @@ def max_stealth_info(
     # One row per element; the lam grid runs along the columns.
     shape = t_ab.shape
     t_ab, t_e = t_ab.reshape(-1, 1), t_e.reshape(-1, 1)
-    target = t_ab * np.exp(-mu * t_ab)
-
-    def matched(pass_f, e_blocked, e_pass):
-        """The singles-matched shutter; NaN where no gamma in [0, 1] matches."""
-        gamma = 1.0 + (target / pass_f - e_pass) / e_blocked
-        feasible = (gamma >= -_EDGE_TOL) & (gamma <= 1.0 + _EDGE_TOL)
-        return np.where(feasible, np.clip(gamma, 0.0, 1.0), np.nan)
+    target = _clean(mu, t_ab)[0]
 
     def evaluate(lams: np.ndarray):
         """(gamma, info, z) at tap fractions lams, per row; NaN where infeasible."""
-        _, m, gamma, bracket = _link(mu, lams, matched, t_e)
+        _, m, gamma, bracket = _link(mu, lams, partial(_matched, target), t_e)
         z = _alarm(mu, t_ab, eta_b, n_pulses, mode, m, bracket)[2]
         return gamma, _credited_info(mu, lams, gamma), z
 
     def above(lam: np.ndarray) -> np.ndarray:
-        pass_f, _, _, bracket = _link(mu, lam, 1.0, t_e)
-        return pass_f * bracket > target  # singles level at gamma = 1
+        return _singles(mu, lam, 1.0, t_e) > target
 
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = bisect(above, 0.0, np.where(above(0.0), 1.0, 0.0), 200)
@@ -441,11 +461,8 @@ def lambda_for_gamma(mu: float, t_ab: float, t_e: float, gamma):
     if bad.any():
         raise ValueError(f"gamma must be in [0, 1], got {gamma[bad][0]}")
     BeamsplitAttack(lam=0.0, gamma=1.0, t_e=t_e)  # validates t_e
-    target = t_ab * math.exp(-mu * t_ab)
-
-    def level(lam: np.ndarray) -> np.ndarray:
-        pass_f, _, _, bracket = _link(mu, lam, gamma, t_e)
-        return pass_f * bracket
+    target = _clean(mu, t_ab)[0]
+    level = partial(_singles, mu, gamma=gamma, t_e=t_e)
 
     # At gamma = 1 the peak is the lam = 0 edge, which the search only nears.
     peak = golden_max(level, 0.0, 1.0, 1e-12)

@@ -405,6 +405,80 @@ class TestOneAlarm:
                 call()
 
 
+class TestOneShutter:
+    """``solve_gamma`` is the scalar view of the matched shutter that
+    ``max_stealth_info`` solves, so it returns each optimum's gamma to the
+    last bit: mu = 0.05-0.5, both basis modes, 1-149 km."""
+
+    @pytest.mark.parametrize("mode", list(BasisMode))
+    @pytest.mark.parametrize("mu", [0.05, 0.1, 0.2, 0.5])
+    def test_solve_gamma_gives_the_optimum_gamma(self, mu, mode):
+        km = np.arange(1.0, 150.0)
+        t_ab, t_e = transmission(0.25 * km), transmission(0.15 * km)
+        opt = max_stealth_info(mu, t_ab, t_e, 0.1, 1e10, mode)
+        assert opt.constrained.sum() > 100
+        for i in np.flatnonzero(opt.constrained):
+            gamma = solve_gamma(mu, float(t_ab[i]), float(opt.lam[i]), float(t_e[i]))
+            assert gamma == opt.gamma[i], (km[i], gamma, opt.gamma[i])
+
+
+_T_AB, _T_E = transmission(0.25 * 60), transmission(0.15 * 60)
+
+
+def _clean_link_paths(mu, t_ab, eta_b=0.1, t_e=_T_E):
+    """Every public path that reads the clean link, as argument-free calls."""
+    return {
+        "solve_gamma": lambda: solve_gamma(mu, t_ab, 0.5, t_e),
+        "solve_gamma_second_order": lambda: solve_gamma(mu, t_ab, 0.5, t_e, form="second_order"),
+        "max_stealth_info": lambda: max_stealth_info(mu, t_ab, t_e, eta_b, 1e10),
+        "gamma_sweep": lambda: gamma_sweep(mu, t_ab, t_e, eta_b, 1e10),
+        "lambda_for_gamma": lambda: lambda_for_gamma(mu, t_ab, t_e, 0.5),
+        "clean_singles_ref": lambda: clean_singles_ref(mu, t_ab, eta_b),
+        "clean_coinc_ref": lambda: clean_coinc_ref(mu, t_ab, eta_b),
+    }
+
+
+class TestRejectsABadLink:
+    """mu and t_ab are checked once, where the clean link is worked out, and
+    eta_b and t_e where they are read; none gives a plausible number."""
+
+    @pytest.mark.parametrize("path", list(_clean_link_paths(MU, _T_AB)))
+    @pytest.mark.parametrize("mu", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_mu(self, path, mu):
+        with pytest.raises(ValueError, match="^mu must be finite and > 0"):
+            _clean_link_paths(mu, _T_AB)[path]()
+
+    @pytest.mark.parametrize("path", list(_clean_link_paths(MU, _T_AB)))
+    def test_nan_t_ab(self, path):
+        with pytest.raises(ValueError, match=r"^t_ab must be in \[0, 1\], got nan"):
+            _clean_link_paths(MU, math.nan)[path]()
+
+    @pytest.mark.parametrize("path", ["solve_gamma", "lambda_for_gamma", "clean_singles_ref",
+                                      "clean_coinc_ref"])
+    @pytest.mark.parametrize("t_ab", [-0.1, 1.5])
+    def test_t_ab_outside_the_unit_interval(self, path, t_ab):
+        with pytest.raises(ValueError, match=r"^t_ab must be in \[0, 1\]"):
+            _clean_link_paths(MU, t_ab, t_e=1.0)[path]()
+
+    def test_t_ab_is_named_within_an_array(self):
+        with pytest.raises(ValueError, match=r"^t_ab must be in \[0, 1\], got nan$"):
+            clean_coinc_ref(MU, np.array([0.1, math.nan, 0.2]), 0.1)
+
+    @pytest.mark.parametrize("eta_b", [math.nan, 0.0, 1.5])
+    def test_bad_eta_b(self, eta_b):
+        attack = BeamsplitAttack(lam=0.3, gamma=0.5, t_e=_T_E)
+        for call in (lambda: coincidence_alarm(attack, MU, eta_b, _T_AB, 1e10),
+                     lambda: max_stealth_info(MU, _T_AB, _T_E, eta_b, 1e10),
+                     lambda: gamma_sweep(MU, _T_AB, _T_E, eta_b, 1e10)):
+            with pytest.raises(ValueError, match=r"^eta_b must be in \(0, 1\]"):
+                call()
+
+    @pytest.mark.parametrize("t_e", [2.0, math.nan, [0.5, 1.0 + 1e-9]])
+    def test_max_stealth_info_rejects_t_e_above_one(self, t_e):
+        with pytest.raises(ValueError, match="^t_e must be <= 1"):
+            max_stealth_info(MU, _T_AB, t_e, 0.1, 1e10)
+
+
 # Reference for the array optimum: the scalar stealth optimum, solved for one
 # (t_ab, t_e) at a time with ``bisect``, a scalar halving loop.
 def bisect(inside, lo, hi, steps):
