@@ -12,12 +12,12 @@ clean reference uses the Poisson terms eta*P(1) and eta^2*P(2) of the same
 order, so the matching conditions close algebraically instead of up to
 second-order residuals.
 
-Five formulas are written once, elementwise, and shared: the clean
+Six formulas are written once, elementwise, and shared: the clean
 reference, :func:`_clean`, which also checks mu and t_ab for every path; the
-tapped link, :func:`_link`; the singles-matched shutter, :func:`_matched`,
-whose [0, 1] rule is :func:`_feasible`; the coincidence alarm,
-:func:`_alarm`, whose bound is ``STEALTH_Z``; and the credited information,
-:func:`_credited_info`.
+tapped link, :func:`_link`; the attacked singles level, :func:`_singles`; the
+singles-matched shutter, :func:`_matched`, whose [0, 1] rule is
+:func:`_feasible`; the coincidence alarm, :func:`_alarm`, whose bound is
+``STEALTH_Z``; and the credited information, :func:`_credited_info`.
 """
 from __future__ import annotations
 
